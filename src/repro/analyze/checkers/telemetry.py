@@ -4,9 +4,8 @@ The telemetry package's contract (PR 4) is that attaching a live
 :class:`~repro.telemetry.metrics.Telemetry` leaves every cycle total of a
 run byte-identical.  That holds only if nothing under ``telemetry/`` can
 reach the cost model: no import of :mod:`repro.sim.costs` (TELEM001), no
-call that charges or advances the clock (TELEM002).  Telemetry *receives*
-mirrored charge events through its ``op_charge`` hooks; it never originates
-them.
+call that charges or advances the clock (TELEM002).  Telemetry reads the
+meter's books; it never charges.
 """
 
 from __future__ import annotations

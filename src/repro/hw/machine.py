@@ -129,10 +129,11 @@ class Machine:
 
         Recording never charges the clock, so attaching telemetry leaves
         every cycle total of a run unchanged (the paper figures stay
-        byte-identical with it on or off).
+        byte-identical with it on or off).  The per-operation mirror reads
+        the meter's books from here on (:meth:`Telemetry.attach_meter`).
         """
         self.telemetry = telemetry
-        self.meter.telemetry = telemetry
+        telemetry.attach_meter(self.meter)
         return telemetry
 
     # Convenience passthroughs used throughout the kernel --------------------

@@ -756,8 +756,8 @@ class SmodDispatcher:
         charge.
 
         Everything a loop of ``n`` replays would apply, applied in bulk:
-        the scaled trace charge (cycles, events, op histogram and the
-        telemetry op mirror all multiply exactly), the dispatcher/handle
+        the scaled trace charge (cycles, events and the op histogram the
+        telemetry op mirror reads all multiply exactly), the dispatcher/handle
         counters, per-module ``note_calls``, the decision-cache replay
         credits (the per-span touches already ran in
         :meth:`fast_forward_probe`), and the dispatch-level telemetry

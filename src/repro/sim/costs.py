@@ -346,13 +346,12 @@ class CallTrace:
 
     Built from the raw ``(operation, count)`` events a :class:`TraceRecorder`
     captured, it precomputes everything a replay needs: per-operation totals
-    (to keep the op histogram exact), per-operation cycles (for the telemetry
-    mirror), the grand cycle total (one clock advance) and the number of
-    individual charge events (so ``VirtualClock.events`` stays identical to
-    the op-by-op execution).
+    (to keep the op histogram exact), the grand cycle total (one clock
+    advance) and the number of individual charge events (so
+    ``VirtualClock.events`` stays identical to the op-by-op execution).
     """
 
-    __slots__ = ("ops", "op_cycles", "total_cycles", "events")
+    __slots__ = ("ops", "total_cycles", "events")
 
     def __init__(self, raw_ops: Sequence[Tuple[str, int]],
                  profile: CostProfile) -> None:
@@ -361,11 +360,8 @@ class CallTrace:
             aggregated[operation] = aggregated.get(operation, 0) + count
         #: per-operation totals, in first-occurrence order
         self.ops: Tuple[Tuple[str, int], ...] = tuple(aggregated.items())
-        #: ``(operation, count, cycles)`` triples for the telemetry mirror
-        self.op_cycles: Tuple[Tuple[str, int, int], ...] = tuple(
-            (operation, count, profile.cost(operation) * count)
-            for operation, count in self.ops)
-        self.total_cycles: int = sum(c for _, _, c in self.op_cycles)
+        self.total_cycles: int = sum(profile.cost(operation) * count
+                                     for operation, count in self.ops)
         self.events: int = len(raw_ops)
 
     def scaled(self, n: int) -> "CallTrace":
@@ -373,9 +369,9 @@ class CallTrace:
 
         Every field is an integer total, so multiplying by ``n`` is the
         closed form of charging the trace ``n`` times: cycles, the event
-        count, the per-op histogram merge and the telemetry mirror all come
-        out byte-identical to the loop they replace.  This is the analytic
-        fast-forward tier's charge unit.
+        count and the per-op histogram merge all come out byte-identical to
+        the loop they replace.  This is the analytic fast-forward tier's
+        charge unit.
         """
         if n < 0:
             raise ValueError(f"cannot scale a trace by negative n: {n}")
@@ -383,8 +379,6 @@ class CallTrace:
             return self
         clone = CallTrace.__new__(CallTrace)
         clone.ops = tuple((op, count * n) for op, count in self.ops)
-        clone.op_cycles = tuple((op, count * n, cycles * n)
-                                for op, count, cycles in self.op_cycles)
         clone.total_cycles = self.total_cycles * n
         clone.events = self.events * n
         return clone
@@ -455,12 +449,9 @@ class CostMeter:
         self._advance = clock.advance
         #: armed by a :class:`TraceRecorder`: raw (operation, count) events
         self._trace_log: Optional[List[Tuple[str, int]]] = None
-        # the telemetry tap point: when a live Telemetry is attached every
-        # charge is mirrored into its per-operation counters (hook-level
-        # instrumentation); the shared null default makes the tap one
-        # attribute load and a never-taken branch
-        from ..telemetry import NULL_TELEMETRY
-        self.telemetry = NULL_TELEMETRY
+        #: :meth:`reset_counts` calls so far, so an attached telemetry
+        #: plane (which reads ``op_counts``) can tell a reset from a charge
+        self.resets = 0
 
     def charge(self, operation: str, count: int = 1) -> int:
         """Charge ``count`` occurrences of ``operation`` to the clock."""
@@ -473,8 +464,6 @@ class CostMeter:
         self.op_counts[operation] += count
         if self._trace_log is not None:
             self._trace_log.append((operation, count))
-        if self.telemetry.enabled:
-            self.telemetry.op_charge(operation, count, cycles)
         return cycles
 
     def charge_words(self, operation: str, words: int) -> int:
@@ -493,7 +482,7 @@ class CostMeter:
 
         Open-loop workloads wait for scheduled arrivals; that waiting is
         real simulated time but not a priced micro-operation, so it bypasses
-        the per-operation histogram and the telemetry mirror while still
+        the per-operation histogram (and so the telemetry mirror) while still
         flowing through the meter — the single charging authority.  One
         clock advance, one clock event: byte-identical to the charge paths'
         accounting granularity.
@@ -530,16 +519,13 @@ class CostMeter:
 
         Guarantees byte-identical accounting with the op-by-op execution it
         replaces: one ``advance_many`` keeps cycles *and* the event count
-        exact, the per-operation histogram is merged from the trace's
-        totals, and an attached telemetry plane receives the same per-op
-        mirror it would have seen live.
+        exact, and the per-operation histogram (which an attached
+        telemetry plane reads) is merged from the trace's totals.
         """
         self.clock.advance_many(trace.total_cycles, trace.events)
         counts = self.op_counts
         for operation, count in trace.ops:
             counts[operation] += count
-        if self.telemetry.enabled:
-            self.telemetry.op_charge_bulk(trace.op_cycles)
         return trace.total_cycles
 
     def count(self, operation: str) -> int:
@@ -549,6 +535,7 @@ class CostMeter:
     def reset_counts(self) -> None:
         """Clear the per-operation histogram (does not touch the clock)."""
         self.op_counts.clear()
+        self.resets += 1
 
     def snapshot(self) -> Dict[str, int]:
         """Return a copy of the per-operation histogram."""

@@ -6,10 +6,10 @@ The design constraints, in order:
    meter; recording a sample is pure Python-side bookkeeping, so cycle
    totals are identical with telemetry on or off (the LSM-overhead
    literature's "measure without perturbing the measured path").
-2. **Compiled out by default.**  The shared :data:`NULL_TELEMETRY`
-   singleton answers every recording call with a no-op and allocates
-   nothing, so the paper-default benchmarks pay one attribute load and a
-   predictable branch per tap point.
+2. **Compiled out by default.**  Every tap is guarded by the shared
+   :data:`NULL_TELEMETRY` singleton's ``enabled`` flag, so the
+   paper-default benchmarks pay one attribute load and a predictable
+   branch per tap point; an unguarded call keeps nothing.
 3. **Streaming.**  :class:`LogHistogram` keeps geometric buckets, not
    samples: quantiles come with a bounded relative error
    (:attr:`LogHistogram.relative_error_bound`) at O(buckets) memory,
@@ -93,7 +93,7 @@ class LogHistogram:
     DEFAULT_BASE = 2.0 ** 0.25
 
     __slots__ = ("base", "_log_base", "_buckets", "count", "total",
-                 "zeros", "_min", "_max")
+                 "zeros", "_min", "_max", "_family")
 
     def __init__(self, base: float = DEFAULT_BASE) -> None:
         if base <= 1.0:
@@ -106,6 +106,8 @@ class LogHistogram:
         self.zeros = 0
         self._min = math.inf
         self._max = -math.inf
+        #: the registry's live family aggregate this member feeds, if any
+        self._family: Optional[LogHistogram] = None
 
     @property
     def relative_error_bound(self) -> float:
@@ -117,6 +119,8 @@ class LogHistogram:
         """Fold ``n`` occurrences of ``value`` into the histogram."""
         if n <= 0:
             return
+        if self._family is not None:
+            self._family.record(value, n)
         self.count += n
         self.total += value * n
         if value < self._min:
@@ -217,6 +221,8 @@ class LogHistogram:
             raise ValueError(
                 f"cannot merge histograms with bases {self.base} and "
                 f"{other.base}")
+        if self._family is not None:
+            self._family.merge(other)
         for index, n in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + n
         self.count += other.count
@@ -266,6 +272,8 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelItems], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelItems], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelItems], LogHistogram] = {}
+        #: live family aggregates (:meth:`family`); not metrics of their own
+        self._families: Dict[str, LogHistogram] = {}
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges) +
@@ -290,6 +298,7 @@ class MetricsRegistry:
         metric = self._histograms.get(key)
         if metric is None:
             metric = self._histograms[key] = LogHistogram()
+            metric._family = self._families.get(name)
         return metric
 
     # ------------------------------------------------------------------- views
@@ -314,51 +323,58 @@ class MetricsRegistry:
         return LogHistogram.merged(
             histogram for _, histogram in self.histograms_named(name, **match))
 
-    # ------------------------------------------------------------- shard state
+    def family(self, name: str) -> LogHistogram:
+        """The live aggregate of every histogram of family ``name``.
+
+        Built on first request by merging the members that exist then;
+        from that point every member (including ones created later) folds
+        each sample it records or merges into it, so a read costs O(buckets)
+        instead of :meth:`merged_histogram`'s O(registry) walk.  Buckets,
+        count, zeros, min and max equal :meth:`merged_histogram` exactly,
+        so every quantile does too; only ``total`` may differ in its last
+        float bits (summation order).  The aggregate is a view, not a
+        metric: it stays out of :meth:`snapshot`, :meth:`export_state` and
+        ``len()``, and families nobody requests cost nothing.
+        """
+        view = self._families.get(name)
+        if view is None:
+            members = [histogram for (metric_name, _), histogram
+                       in self._histograms.items() if metric_name == name]
+            view = self._families[name] = LogHistogram.merged(members)
+            for member in members:
+                member._family = view
+        return view
+
+    # ------------------------------------------------------------- exports
+    def _view(self, histogram_view) -> Dict[str, Dict[str, object]]:
+        """Every metric keyed by its rendered ``name{labels}``, in a stable
+        order; each histogram is rendered by ``histogram_view``."""
+        def rendered(metrics):
+            for (name, labels), metric in sorted(
+                    metrics.items(),
+                    key=lambda item: (item[0][0], repr(item[0][1]))):
+                yield f"{name}{_render_labels(labels)}", metric
+
+        return {
+            "counters": {key: metric.value
+                         for key, metric in rendered(self._counters)},
+            "gauges": {key: {"value": metric.value, "max": metric.maximum}
+                       for key, metric in rendered(self._gauges)},
+            "histograms": {key: histogram_view(histogram)
+                           for key, histogram in rendered(self._histograms)},
+        }
+
     def export_state(self) -> Dict[str, Dict[str, object]]:
         """Lossless, picklable registry state for cross-process merging.
 
-        Metrics are keyed by their rendered ``name{labels}`` string;
-        histograms export raw buckets (:meth:`LogHistogram.export_state`)
+        Histograms export raw buckets (:meth:`LogHistogram.export_state`)
         so the parent-side merge is exact, not a summary-of-summaries.
         """
-        def rendered(items):
-            return sorted(items, key=lambda item: (item[0][0], repr(item[0][1])))
+        return self._view(LogHistogram.export_state)
 
-        counters = {
-            f"{name}{_render_labels(labels)}": metric.value
-            for (name, labels), metric in rendered(self._counters.items())}
-        gauges = {
-            f"{name}{_render_labels(labels)}":
-                {"value": metric.value, "max": metric.maximum}
-            for (name, labels), metric in rendered(self._gauges.items())}
-        histograms = {
-            f"{name}{_render_labels(labels)}": histogram.export_state()
-            for (name, labels), histogram in rendered(self._histograms.items())}
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
-
-    # ---------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """A JSON-serializable view of every metric."""
-        counters = {
-            f"{name}{_render_labels(labels)}": metric.value
-            for (name, labels), metric in sorted(
-                self._counters.items(),
-                key=lambda item: (item[0][0], repr(item[0][1])))}
-        gauges = {
-            f"{name}{_render_labels(labels)}":
-                {"value": metric.value, "max": metric.maximum}
-            for (name, labels), metric in sorted(
-                self._gauges.items(),
-                key=lambda item: (item[0][0], repr(item[0][1])))}
-        histograms = {
-            f"{name}{_render_labels(labels)}": histogram.summary()
-            for (name, labels), histogram in sorted(
-                self._histograms.items(),
-                key=lambda item: (item[0][0], repr(item[0][1])))}
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
+        return self._view(LogHistogram.summary)
 
 
 class Telemetry:
@@ -375,28 +391,48 @@ class Telemetry:
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        #: per-operation mirror of the cost meter (the costs.py tap point)
-        self.op_counts: Dict[str, int] = {}
-        self.op_cycles: Dict[str, int] = {}
+        #: the cost meter the per-operation mirror reads (the costs.py tap
+        #: point), with its books at attach and its reset epoch then
+        self._meter = None
+        self._meter_base: Dict[str, int] = {}
+        self._meter_resets = 0
 
     # ------------------------------------------------------- sim-layer taps
-    def op_charge(self, operation: str, count: int, cycles: int) -> None:
-        """Mirror one :class:`~repro.sim.costs.CostMeter` charge."""
-        self.op_counts[operation] = self.op_counts.get(operation, 0) + count
-        self.op_cycles[operation] = self.op_cycles.get(operation, 0) + cycles
+    def attach_meter(self, meter) -> None:
+        """Derive the per-operation mirror from ``meter``'s own books.
 
-    def op_charge_bulk(self, items) -> None:
-        """Mirror a replayed :class:`~repro.sim.costs.CallTrace` in one call.
-
-        ``items`` is the trace's ``(operation, count, cycles)`` triples; the
-        resulting per-operation counters are exactly what the op-by-op
-        execution would have recorded.
+        Nothing is recorded per charge: on read, :attr:`op_counts` is the
+        meter's ``op_counts`` minus the counts it held at attach, and
+        :attr:`op_cycles` is each count times the meter's per-operation
+        cost.  Telemetry attached after a build therefore sees only the
+        charges made since.  A ``reset_counts()`` on the meter re-bases the
+        mirror: from then on it reports the charges since the reset, never
+        a negative count.  Telemetry only reads the meter; it never charges.
         """
-        counts = self.op_counts
-        cycles_map = self.op_cycles
-        for operation, count, cycles in items:
-            counts[operation] = counts.get(operation, 0) + count
-            cycles_map[operation] = cycles_map.get(operation, 0) + cycles
+        self._meter = meter
+        self._meter_base = meter.snapshot()
+        self._meter_resets = meter.resets
+
+    @property
+    def op_counts(self) -> Dict[str, int]:
+        """Per-operation charge counts since attach (or the last reset)."""
+        meter = self._meter
+        if meter is None:
+            return {}
+        if meter.resets != self._meter_resets:
+            self._meter_base, self._meter_resets = {}, meter.resets
+        return meter.diff(self._meter_base)
+
+    @property
+    def op_cycles(self) -> Dict[str, int]:
+        """Per-operation cycles charged since attach (or the last reset)."""
+        return {op: count * self._meter.profile.cost(op)
+                for op, count in self.op_counts.items()}
+
+    def _ops(self) -> Dict[str, Dict[str, int]]:
+        cycles = self.op_cycles
+        return {op: {"count": count, "cycles": cycles[op]}
+                for op, count in sorted(self.op_counts.items())}
 
     # --------------------------------------------------- dispatch-layer taps
     def record_dispatch(self, session_id: int, module_name: str,
@@ -494,82 +530,49 @@ class Telemetry:
 
     def snapshot(self) -> Dict[str, object]:
         out: Dict[str, object] = dict(self.registry.snapshot())
-        if self.op_counts:
-            out["ops"] = {
-                op: {"count": self.op_counts[op],
-                     "cycles": self.op_cycles.get(op, 0)}
-                for op in sorted(self.op_counts)}
+        ops = self._ops()
+        if ops:
+            out["ops"] = ops
         return out
 
     def export_state(self) -> Optional[Dict[str, object]]:
         """Lossless picklable state (registry + op mirror) for shard merge."""
-        return {
-            "registry": self.registry.export_state(),
-            "ops": {op: {"count": self.op_counts[op],
-                         "cycles": self.op_cycles.get(op, 0)}
-                    for op in sorted(self.op_counts)},
-        }
+        return {"registry": self.registry.export_state(), "ops": self._ops()}
+
+
+class _NullRegistry(MetricsRegistry):
+    """Hands out throwaway metrics and keeps none, so whatever is recorded
+    through it, the registry stays empty."""
+
+    def counter(self, name: str, **labels: object) -> Counter:
+        return Counter(name)
+
+    def gauge(self, name: str, **labels: object) -> Gauge:
+        return Gauge(name)
+
+    def histogram(self, name: str, **labels: object) -> LogHistogram:
+        return LogHistogram()
+
+    def family(self, name: str) -> LogHistogram:
+        return LogHistogram()
 
 
 class NullTelemetry(Telemetry):
-    """The compiled-out default: every tap is a no-op, nothing accumulates.
+    """The compiled-out default: nothing accumulates.
 
-    The registry exists (so accidental unguarded reads don't crash) but the
-    overridden recording methods never touch it, keeping the disabled path
-    allocation-free.
+    Every tap is guarded by ``if telemetry.enabled:``, so the disabled
+    path never records.  An unguarded call still records only into the
+    throwaway metrics of a :class:`_NullRegistry`, and no meter is read,
+    so the shared singleton never holds any state.
     """
 
     enabled = False
 
-    def op_charge(self, operation: str, count: int, cycles: int) -> None:
-        pass
+    def __init__(self) -> None:
+        super().__init__()
+        self.registry = _NullRegistry()
 
-    def op_charge_bulk(self, items) -> None:
-        pass
-
-    def record_dispatch(self, session_id: int, module_name: str,
-                        latency_us: float, n: int = 1) -> None:
-        pass
-
-    def record_batch(self, session_id: int, depth: int,
-                     service_us: float, n: int = 1) -> None:
-        pass
-
-    def record_handle_queue(self, handle_pid: int, depth: int,
-                            n: int = 1) -> None:
-        pass
-
-    def record_queue_delay(self, handle_pid: int, client_pid: int,
-                           delay_us: float) -> None:
-        pass
-
-    def record_pool_wait(self, backend: str, wait_us: float,
-                         n: int = 1) -> None:
-        pass
-
-    def record_pool_refusal(self, backend: str) -> None:
-        pass
-
-    def record_backend_state(self, backend: str, state: str) -> None:
-        pass
-
-    def record_admission(self, client_pid: int, admitted: bool,
-                         n: int = 1) -> None:
-        pass
-
-    def record_shed(self, scope: str, reason: str, n: int = 1) -> None:
-        pass
-
-    def record_breaker_state(self, backend: str, state: str) -> None:
-        pass
-
-    def record_retry(self, backend: str, outcome: str, n: int = 1) -> None:
-        pass
-
-    def cache_event(self, kind: str, n: int = 1) -> None:
-        pass
-
-    def record_depth(self, client: object, depth: int) -> None:
+    def attach_meter(self, meter) -> None:
         pass
 
     def snapshot(self) -> Dict[str, object]:

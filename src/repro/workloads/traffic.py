@@ -1082,12 +1082,13 @@ class TrafficEngine:
         if spec.service_p95_target_us > 0.0:
             # closed loop: the controllers consume the observed flush
             # service-time tail straight from the telemetry plane (the
-            # spec validator pinned telemetry on for this mode)
-            registry = self.telemetry.registry
+            # spec validator pinned telemetry on for this mode); the live
+            # family aggregate makes each read O(buckets)
+            flush_service = self.telemetry.registry.family(
+                "flush_service_us")
 
             def service_p95() -> float:
-                return registry.merged_histogram(
-                    "flush_service_us").quantile(95)
+                return flush_service.quantile(95)
 
             for controller in controllers.values():
                 controller.service_p95_supplier = service_p95

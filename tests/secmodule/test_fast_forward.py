@@ -73,9 +73,9 @@ class TestScaledTrace:
             assert scaled.events == trace.events * n
             assert scaled.ops == tuple((op, count * n)
                                        for op, count in trace.ops)
-            assert scaled.op_cycles == tuple(
-                (op, count * n, cycles * n)
-                for op, count, cycles in trace.op_cycles)
+            profile = system.kernel.machine.meter.profile
+            assert scaled.total_cycles == sum(
+                profile.cost(op) * count for op, count in scaled.ops)
 
     def test_scaled_one_is_self_and_negative_raises(self):
         system = make_system(seed=3)

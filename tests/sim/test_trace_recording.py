@@ -120,15 +120,20 @@ class TestChargeTrace:
     def test_replay_mirrors_telemetry(self):
         raw = ((costs.TRAP_ENTRY, 1), (costs.COPY_WORD, 4),
                (costs.TRAP_ENTRY, 1))
-        slow, _ = fresh_meter()
-        slow.telemetry = Telemetry()
+        slow, fast = make_paper_machine(), make_paper_machine()
+        slow_tel = slow.attach_telemetry(Telemetry())
+        fast_tel = fast.attach_telemetry(Telemetry())
+        slow_before = slow.meter.snapshot()
+        fast_before = fast.meter.snapshot()
         for operation, count in raw:
             slow.charge(operation, count)
-        fast, _ = fresh_meter()
-        fast.telemetry = Telemetry()
-        fast.charge_trace(CallTrace(raw, PENTIUM_III_599))
-        assert slow.telemetry.op_counts == fast.telemetry.op_counts
-        assert slow.telemetry.op_cycles == fast.telemetry.op_cycles
+        fast.meter.charge_trace(CallTrace(raw, PENTIUM_III_599))
+        assert slow_tel.op_counts == fast_tel.op_counts
+        assert slow_tel.op_cycles == fast_tel.op_cycles
+        assert slow_tel.op_counts == {costs.TRAP_ENTRY: 2, costs.COPY_WORD: 4}
+        assert slow_tel.op_counts == slow.meter.diff(slow_before)
+        assert fast_tel.op_counts == fast.meter.diff(fast_before)
+        assert sum(fast_tel.op_cycles.values()) == fast.clock.cycles
 
     def test_replay_respects_frozen_clock(self):
         meter, clock = fresh_meter()

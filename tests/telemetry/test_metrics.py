@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.sim.costs import CostMeter, PENTIUM_III_599
+from repro.hw.machine import make_paper_machine
 from repro.sim.clock import Stopwatch, VirtualClock
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import jain_fairness_index
@@ -130,12 +130,11 @@ class TestRegistryAndViews:
         assert "pool_queue_delay_us{client=2,handle=5}" in text
 
     def test_cost_meter_mirrors_charges_into_telemetry(self):
-        clock = VirtualClock()
-        meter = CostMeter(PENTIUM_III_599, clock)
-        telemetry = Telemetry()
-        meter.telemetry = telemetry
+        machine = make_paper_machine()
+        telemetry = machine.attach_telemetry(Telemetry())
+        clock = machine.clock
         before = clock.cycles
-        meter.charge("trap_entry", 2)
+        machine.meter.charge("trap_entry", 2)
         assert telemetry.op_counts["trap_entry"] == 2
         assert telemetry.op_cycles["trap_entry"] == clock.cycles - before
 
@@ -148,6 +147,42 @@ class TestRegistryAndViews:
         watch.elapsed_us()
         watch.restart()
         assert clock.events == events_before
+
+
+class TestOpMirrorReadsTheMeter:
+    def test_attached_after_build_counts_only_later_charges(self):
+        machine = make_paper_machine()
+        machine.charge("trap_entry", 5)
+        machine.charge("context_switch")
+        telemetry = machine.attach_telemetry(Telemetry())
+        assert telemetry.op_counts == {}
+        assert "ops" not in telemetry.snapshot()
+        before = machine.clock.cycles
+        machine.charge("trap_entry", 2)
+        assert telemetry.op_counts == {"trap_entry": 2}
+        assert telemetry.op_cycles == {
+            "trap_entry": machine.clock.cycles - before}
+        assert telemetry.export_state()["ops"] == {
+            "trap_entry": {"count": 2,
+                           "cycles": machine.clock.cycles - before}}
+
+    def test_reset_counts_rebases_the_mirror(self):
+        """Rule: a meter reset re-bases the mirror, which then reports the
+        charges since the reset: never a negative or a stale count."""
+        machine = make_paper_machine()
+        machine.charge("trap_entry", 5)
+        telemetry = machine.attach_telemetry(Telemetry())
+        machine.charge("trap_entry", 2)
+        machine.charge("context_switch", 3)
+        machine.meter.reset_counts()
+        assert telemetry.op_counts == {}
+        machine.charge("trap_entry", 7)
+        assert telemetry.op_counts == {"trap_entry": 7}
+        assert telemetry.op_counts == dict(machine.meter.op_counts)
+        machine.meter.reset_counts()
+        machine.charge("context_switch")
+        assert telemetry.op_counts == {"context_switch": 1}
+        assert all(count > 0 for count in telemetry.op_counts.values())
 
 
 class TestJainIndex:
@@ -175,10 +210,23 @@ class TestNullTelemetry:
         NULL_TELEMETRY.record_handle_queue(5, 8)
         NULL_TELEMETRY.record_queue_delay(5, 2, 0.25)
         NULL_TELEMETRY.cache_event("hits")
-        NULL_TELEMETRY.op_charge("trap_entry", 1, 170)
         NULL_TELEMETRY.record_depth(0, 16)
         assert len(NULL_TELEMETRY.registry) == 0
         assert NULL_TELEMETRY.op_counts == {}
+
+    def test_null_telemetry_neither_reads_a_meter_nor_keeps_a_family(self):
+        machine = make_paper_machine()
+        machine.attach_telemetry(NULL_TELEMETRY)
+        machine.charge("trap_entry", 3)
+        assert NULL_TELEMETRY.op_counts == {}
+        NULL_TELEMETRY.record_batch(1, 8, 10.0)
+        family = NULL_TELEMETRY.registry.family("flush_service_us")
+        assert family.count == 0
+        assert NULL_TELEMETRY.registry.family("flush_service_us") is not family
+        registry = NULL_TELEMETRY.registry
+        assert len(registry) == 0
+        assert registry.export_state() == MetricsRegistry().export_state()
+        assert registry._families == {}
 
     def test_disabled_recording_is_zero_allocation(self):
         telemetry = NULL_TELEMETRY
@@ -190,7 +238,6 @@ class TestNullTelemetry:
                 telemetry.record_handle_queue(5, 8)
                 telemetry.record_queue_delay(5, 2, 0.25)
                 telemetry.cache_event("hits")
-                telemetry.op_charge("trap_entry", 1, 170)
 
         spin(1000)                      # warm any lazily-built interpreter state
         gc.collect()
