@@ -37,10 +37,36 @@ cache and per-seat queueing-delay counters — pure observation, cycle
 totals unchanged) and ``adaptive_batch=True`` hands the flush depth to the
 per-client AIMD controller in :mod:`repro.control.adaptive`, which grows
 and shrinks the queue from the observed interarrival EWMA.
+
+One driver runs every shape: an arrival source feeds a sink.
+:meth:`TrafficEngine.run` holds the two sources, one loop each — the
+closed loop (a think-time heap: each arrival idles the machine to its due
+time with ``_advance_clock_to`` and calls the sink without a schedule) and
+the open loop (one pass over the pre-drawn ``(times, indices)`` of
+``_open_schedule_sorted``; each arrival calls the sink with its
+``scheduled_at``).  The three sinks:
+
+* ``_one_flush(state, count, *, scheduled_at=None)`` — a static flush of
+  ``count`` calls at any depth, on any tier, with or without shedding.
+  Fast-forward lives here: a flush whose trace key is HOT is only
+  accumulated into an open window (``_ff_flush`` settles the windows);
+* the AIMD sink (``_aimd_sink``) — holds each client's arrivals until its
+  controller flushes them through ``_one_flush``, plus a final drain;
+* ``_one_service_call(state, *, scheduled_at=None)`` — one call across the
+  service plane's RPC surface.
+
+``_one_flush`` and ``_one_service_call`` share one arrival prologue
+(``_arrive``: module pick, open-loop clock advance, queueing delay, shed
+gate and queue-delay taps).  The repository benchmark's audit hooks
+``_advance_clock_to``, ``_one_flush`` and ``_one_service_call`` and reads
+``_now_us``, so their names and signatures, and the closed loop's
+advance-then-sink order, are a contract (``tests/workloads/
+test_driver_hooks.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -48,7 +74,7 @@ import numpy as np
 
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..control.adaptive import AdaptiveBatchController, AdaptiveConfig
 from ..errors import SimulationError
@@ -254,8 +280,35 @@ class TrafficSpec:
             raise SimulationError(
                 "service_p95_target_us closes the loop from the telemetry "
                 "plane: it needs adaptive_batch=True and telemetry=True")
-        # raises on an unknown policy spec
+        intervals = {"mean_interval_us": self.mean_interval_us,
+                     "burst_interval_us": self.burst_interval_us,
+                     "burst_on_us": self.burst_on_us,
+                     "burst_off_us": self.burst_off_us}
+        for name, value in intervals.items():
+            if not math.isfinite(value) or value < 0.0:
+                raise SimulationError(f"{name} must be finite and >= 0")
+            if self.arrival == "mmpp" and value == 0.0:
+                raise SimulationError(
+                    f"mmpp arrivals need every state mean > 0 ({name})")
+        self._check_call_mix()
+        # both raise on an unknown policy spec
+        traffic_policy(self)
         self.broker_policy()
+
+    def _check_call_mix(self) -> None:
+        if not self.call_mix:
+            raise SimulationError("call_mix must name at least one function")
+        known = traffic_functions()
+        for name, weight in self.call_mix:
+            if name not in known:
+                raise SimulationError(
+                    f"call_mix names {name!r}, which the traffic modules "
+                    f"do not export (they export {sorted(known)})")
+            if not math.isfinite(weight) or weight < 0.0:
+                raise SimulationError(
+                    f"call_mix weight of {name!r} must be finite and >= 0")
+        if not sum(weight for _, weight in self.call_mix) > 0.0:
+            raise SimulationError("call_mix weights must not all be zero")
 
     def broker_policy(self) -> HandlePolicy:
         """The :class:`HandlePolicy` traffic modules register with the broker."""
@@ -286,6 +339,13 @@ def traffic_policy(spec: TrafficSpec) -> Policy:
     if spec.policy_kind == "deny-only":
         return FunctionDenyPolicy(["test_null"])
     raise SimulationError(f"unknown policy kind {spec.policy_kind!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def traffic_functions() -> FrozenSet[str]:
+    """The function names every traffic module exports."""
+    module = build_traffic_module(0, policy=FunctionDenyPolicy([]))
+    return frozenset(function.name for function in module.functions())
 
 
 def _impl_incr(env: CallEnvironment, x: int) -> int:
@@ -338,9 +398,9 @@ class ClientState:
     latencies_us: "array" = field(default_factory=lambda: array("d"))
     #: per-call queueing delay (open loop: start - scheduled arrival)
     queue_delays_us: "array" = field(default_factory=lambda: array("d"))
-
-    def pick_session(self, m_id: int):
-        return self.sessions[m_id]
+    #: AIMD runs: scheduled times of the arrivals held in this client's
+    #: queue; the flush that dispatches them records their delays
+    held_us: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -466,23 +526,23 @@ class TrafficEngine:
                 "client_ids must be unique and match spec.clients")
         self.client_ids = ids
         self.modules: List = []
+        #: the only module when the run has one: its arrivals draw no pick
+        self._sole_module = None
         self.clients: List[ClientState] = []
         self._client_by_id: Dict[int, ClientState] = {}
         self._controllers: Dict[int, AdaptiveBatchController] = {}
         self._built = False
-        self._mix_names = [name for name, _ in spec.call_mix]
-        self._mix_weights = [weight for _, weight in spec.call_mix]
-        # precomputed weighted-choice tables for the fused depth-1 path:
-        # thresholds built by the same incremental float addition
-        # weighted_choice performs, so the walk is comparison-identical
-        self._mix_total = float(sum(self._mix_weights))
+        # the call mix as weighted-choice thresholds, built by the same
+        # float additions DeterministicRNG.weighted_choice performs, so a
+        # walk over them picks exactly what weighted_choice would
+        self._mix_total = float(sum(weight for _, weight in spec.call_mix))
         acc = 0.0
         cum = []
         for name, weight in spec.call_mix:
             acc += weight
             cum.append((name, acc))
         self._mix_cum = cum
-        self._mix_last = self._mix_names[-1]
+        self._mix_last = spec.call_mix[-1][0]
         # ---- analytic fast-forward state -----------------------------------
         # HOT (session, shape, config) spans accumulate here instead of
         # replaying one by one; `_ff_flush` settles them as one closed-form
@@ -508,20 +568,23 @@ class TrafficEngine:
         self._pending_idle_events = 0
         #: key -> [entry, accumulated span count, session]
         self._ff_windows: Dict[Tuple, List] = {}
-        #: (session_id, function name) -> (m_id, func_id), mirroring
-        #: ``session.find_function`` so the probe resolves keys in O(1)
-        self._ff_resolve: Dict[Tuple[int, str], Tuple[int, int]] = {}
-        #: batch depth -> the DispatchConfig `_dispatch_queue` would build
+        #: (session_id, function name) -> the depth-1 trace key, so the
+        #: depth-1 probe builds no key (see `_ff_key`)
+        self._ff_keys: Dict[Tuple[int, str], Tuple] = {}
+        #: batch depth -> the DispatchConfig a flush of that depth uses
         self._ff_configs: Dict[int, DispatchConfig] = {}
         self._mhz = float(self.machine.spec.mhz)
         # hot-loop caches: bound methods/objects resolved once (the run
         # loop touches these a few times per simulated call)
         self._dispatcher = self.extension.dispatcher
-        self._us_of = self.machine.meter.profile.microseconds
-        self._telemetry_on = self.telemetry.enabled
+        self._broker = self.extension.broker
+        self._clock = self.machine.clock
+        #: the cost profile's clock rate: cycles / this is exactly
+        #: ``profile.microseconds(cycles)``, without the call
+        self._profile_mhz = self.machine.meter.profile.mhz
         # record_queue_delay feeds both observation planes; hoist the
         # either-enabled check out of the per-call loops
-        self._observe_queue = self._telemetry_on or self.tracer.enabled
+        self._observe_queue = self.telemetry.enabled or self.tracer.enabled
         # broker seat-queue deadline shedding (default off: the gate stays
         # entirely out of the unprotected per-call paths)
         self._broker_shed = spec.shed_deadline_us > 0.0
@@ -599,6 +662,7 @@ class TrafficEngine:
                     state.sessions[registered.m_id] = session
             self.clients.append(state)
             self._client_by_id[state.index] = state
+        self._sole_module = self.modules[0] if spec.modules == 1 else None
         self._built = True
         return self
 
@@ -623,14 +687,18 @@ class TrafficEngine:
         queueing delays, think schedules, policy contexts after a flush)
         is float-identical with fast-forward on or off.
         """
-        return self._us_of(self.machine.clock.cycles + self._pending_cycles)
+        return (self._clock.cycles + self._pending_cycles) / self._profile_mhz
 
     def _advance_clock_to(self, target_us: float) -> None:
-        """Idle the machine forward to a scheduled arrival time."""
+        """Idle the machine forward to a scheduled arrival time.
+
+        Closed-loop arrivals and the AIMD sink call this; :meth:`_arrive`
+        inlines the same arithmetic for open arrivals, where one more frame
+        per call is a measurable share of a fast-forwarded call.
+        """
         now_us = self._now_us()
         if target_us > now_us:
-            idle_cycles = int(round((target_us - now_us) *
-                                    self.machine.spec.mhz))
+            idle_cycles = round((target_us - now_us) * self._mhz)
             if self._ff_enabled:
                 # defer the wait: one accumulated event per arrival (a
                 # zero-cycle wait still counts one, exactly like `idle`);
@@ -657,313 +725,318 @@ class TrafficEngine:
             self._pending_idle_cycles = 0
             self._pending_idle_events = 0
         if self._ff_windows:
-            dispatcher = self.extension.dispatcher
+            dispatcher = self._dispatcher
             for entry, count, session in self._ff_windows.values():
                 dispatcher.fast_forward_commit(entry, session, count)
             self._ff_windows.clear()
         self._pending_cycles = 0
 
-    def _ff_offer(self, state: ClientState, session,
-                  queue: List[Tuple[str, Tuple]], count: int) -> bool:
-        """Try to absorb one flush into an open fast-forward window.
-
-        Builds the same trace key the dispatcher would, asks it to admit
-        the span (`fast_forward_probe` revalidates every replay guard *and*
-        performs the span's decision-cache touches, so per-span cache state
-        matches per-call replay exactly), and accumulates the charge.
-        Returns False when the span must take the dispatch path instead.
-        """
-        resolve = self._ff_resolve
-        sid = session.session_id
-        pairs = []
-        for name, _ in queue:
-            pair = resolve.get((sid, name))
-            if pair is None:
-                found = session.find_function(name)
-                if found is None:
-                    return False
-                module, function = found
-                pair = (module.m_id, function.func_id)
-                resolve[(sid, name)] = pair
-            pairs.append(pair)
-        if count == 1:
-            config = self.config
-            shape: Tuple = pairs[0]
-        else:
-            config = self._ff_configs.get(count)
-            if config is None:
-                config = (self.config if self.config.batch_size >= count
-                          else replace(self.config, batch_size=count))
-                self._ff_configs[count] = config
-            shape = tuple(sorted(pairs))
-        key = (sid, shape, config)
-        entry = self._dispatcher.fast_forward_probe(session, key)
-        if entry is None:
-            return False
-        window = self._ff_windows.get(key)
-        if window is None:
-            self._ff_windows[key] = window = [entry, 1, session]
-        else:
-            # keep the freshest entry: a re-recorded key stays byte-equal
-            # (the probe's guards proved it) but guard fields may be newer
-            window[0] = entry
-            window[1] += 1
-        self._pending_cycles += entry.trace.total_cycles
-        # the replay span's Stopwatch measures exactly the trace's cycles,
-        # so this division reproduces its latency float for float
-        service_us = entry.trace.total_cycles / self._mhz
-        state.calls_issued += count
-        state.latencies_us.extend([service_us / count] * count)
-        state.calls_denied += entry.denied
-        return True
-
     def _draw_call(self, state: ClientState, offset: int) -> Tuple[str, Tuple]:
-        function_name = state.rng.weighted_choice(self._mix_names,
-                                                  self._mix_weights)
+        """One weighted draw from the call mix, plus the call's arguments.
+
+        The arguments never come from the RNG, so callers that only need
+        the name may skip them (the depth-1 path in :meth:`_one_flush`).
+        """
+        draw = self._mix_total * state.rng.next_double()
+        name = self._mix_last
+        for candidate, threshold in self._mix_cum:
+            if draw < threshold:
+                name = candidate
+                break
         args = ((state.calls_issued + offset,)
-                if function_name == "test_incr" else ())
-        return function_name, args
+                if name == "test_incr" else ())
+        return name, args
 
-    def _dispatch_queue(self, state: ClientState, session,
-                        queue: List[Tuple[str, Tuple]]) -> None:
-        """Dispatch one client queue against one session and record it.
+    def _arrive(self, state: ClientState, count: int,
+                scheduled_at: Optional[float]):
+        """The arrival prologue both sinks share; returns the module the
+        flush targets, or None when the arrival is shed.
 
-        A queue of one goes through the ordinary single-call path (so a
-        depth-1 flush is the paper's per-call dispatch, cycle for cycle);
-        longer queues flush through the batched path in one chunk.
+        Picks the module.  An open-loop arrival (``scheduled_at`` given)
+        then idles the machine forward to its scheduled time, passes the
+        broker's deadline gate with its queueing delay (start minus
+        schedule) and records that delay once per call, also into the
+        per-seat taps.  A shed arrival never dispatches and never records
+        into the served latency/queue-delay streams: its queueing delay
+        alone already blew the deadline.  Calls held by the AIMD queue
+        (``state.held_us``) each record the delay since their own arrival.
         """
-        count = len(queue)
-        if self._ff_enabled:
-            if self._ff_offer(state, session, queue, count):
-                return
-            # the span needs the real dispatch path, which must see the
-            # true clock (policy contexts, stopwatches): settle everything
-            self._ff_flush()
-        self._dispatch_queue_slow(state, session, queue)
-
-    def _dispatch_queue_slow(self, state: ClientState, session,
-                             queue: List[Tuple[str, Tuple]]) -> None:
-        """The real dispatch tail: op-by-op or per-call replay execution.
-
-        Callers must have settled any open fast-forward state first (the
-        stopwatch below needs the true clock).
-        """
-        count = len(queue)
-        mark = self.machine.clock.checkpoint()
-        if count == 1:
-            name, args = queue[0]
-            outcome = self.extension.dispatcher.call(
-                session, name, *args, config=self.config)
-            denied = 0 if outcome.ok else 1
-        else:
-            config = (self.config if self.config.batch_size >= count
-                      else replace(self.config, batch_size=count))
-            batch = self.extension.dispatcher.call_batch(
-                session, queue, config=config)
-            denied = batch.denied
-        service_us = self.machine.clock.since(mark).microseconds(
-            self.machine.spec.mhz)
-        state.calls_issued += count
-        state.latencies_us.extend([service_us / count] * count)
-        state.calls_denied += denied
-
-    def _one_flush(self, state: ClientState, count: int, *,
-                   scheduled_at: Optional[float] = None) -> None:
-        """One arrival event: ``count`` calls against one session.
-
-        A queue targets a single module/session — a super-frame lives on
-        exactly one shared stack.  Open-loop callers pass the event's
-        scheduled time so the queueing delay (start minus schedule) is
-        recorded per call and fed to the broker's per-seat histograms.
-        """
-        modules = self.modules
         # a single-value range consumes nothing from the numpy bit stream
         # (verified: Generator.integers with range 1 short-circuits), so
         # skipping the draw is sequence-identical, not just cheaper
-        registered = (modules[0] if len(modules) == 1 else
-                      modules[state.rng.integer(0, len(modules) - 1)])
-        session = state.pick_session(registered.m_id)
-        if scheduled_at is not None:
-            delay = max(0.0, self._now_us() - scheduled_at)
-            if self._broker_shed and not \
-                    self.extension.broker.admit_delay(session, delay, count):
-                # shed at admission: the queueing delay alone already blew
-                # the deadline, so the flush never dispatches (and never
-                # records into the served latency/queue-delay streams)
-                return
-            if count == 1:
-                state.queue_delays_us.append(delay)
+        registered = self._sole_module
+        if registered is None:
+            modules = self.modules
+            registered = modules[state.rng.integer(0, len(modules) - 1)]
+        if scheduled_at is None:
+            if state.held_us:
+                self._record_held(state, registered)
+            return registered
+        # _advance_clock_to, inline: this runs once per open arrival
+        pending = self._pending_cycles
+        now_us = (self._clock.cycles + pending) / self._profile_mhz
+        if scheduled_at > now_us:
+            idle_cycles = round((scheduled_at - now_us) * self._mhz)
+            if self._ff_enabled:
+                self._pending_cycles = pending = pending + idle_cycles
+                self._pending_idle_cycles += idle_cycles
+                self._pending_idle_events += 1
             else:
-                state.queue_delays_us.extend([delay] * count)
-            if self._observe_queue:
-                # record_queue_delay no-ops without an observation plane;
-                # hoist the check out of the per-call loop
-                for _ in range(count):
-                    self.extension.broker.record_queue_delay(session, delay)
-        if count == 1 and self._ff_enabled:
-            # fused depth-1 fast path: draw, probe and accumulate in one
-            # frame instead of four (_draw_call/_dispatch_queue/_ff_offer).
-            # Every observable effect — the RNG stream (one weighted draw,
-            # thresholds walked exactly as weighted_choice walks them),
-            # the probe's guard checks and cache touches, the accumulated
-            # charge — is identical to the generic path.
-            draw = self._mix_total * state.rng.random01()
+                self.machine.idle(idle_cycles)
+            now_us = (self._clock.cycles + pending) / self._profile_mhz
+        delay = now_us - scheduled_at if now_us > scheduled_at else 0.0
+        if self._broker_shed and not self._broker.admit_delay(
+                state.sessions[registered.m_id], delay, count):
+            return None
+        if self._observe_queue or count != 1:
+            self._record_delays(state, registered, [delay] * count)
+        else:
+            state.queue_delays_us.append(delay)
+        return registered
+
+    def _record_held(self, state: ClientState, registered) -> None:
+        """Each call the AIMD queue held waited since its own arrival."""
+        now_us = self._now_us()
+        self._record_delays(state, registered,
+                            [max(0.0, now_us - at) for at in state.held_us])
+        state.held_us.clear()
+
+    def _record_delays(self, state: ClientState, registered,
+                       delays: List[float]) -> None:
+        state.queue_delays_us.extend(delays)
+        if self._observe_queue:
+            session = state.sessions[registered.m_id]
+            for delay in delays:
+                self._broker.record_queue_delay(session, delay)
+
+    def _one_flush(self, state: ClientState, count: int, *,
+                   scheduled_at: Optional[float] = None) -> None:
+        """The flush sink: draw ``count`` calls and dispatch them against
+        one session.
+
+        A queue targets a single module/session — a super-frame lives on
+        exactly one shared stack.  Open-loop callers pass the arrival's
+        scheduled time (see :meth:`_arrive`).
+
+        With fast-forward on, the flush first offers itself to an open
+        window: it builds the trace key the dispatcher would build, and
+        ``fast_forward_probe`` revalidates every replay guard *and*
+        performs the span's decision-cache touches, so per-span cache
+        state matches per-call replay exactly.  An admitted span is only
+        accumulated; anything else settles the open windows and takes the
+        real dispatch path.  A depth-1 flush synthesizes its call's
+        arguments only on that fallback, which is draw-for-draw identical:
+        arguments never come from the RNG.
+        """
+        registered = self._arrive(state, count, scheduled_at)
+        if registered is None:
+            return
+        session = state.sessions[registered.m_id]
+        key = None
+        if count == 1:
+            draw = self._mix_total * state.rng.next_double()
             name = self._mix_last
             for candidate, threshold in self._mix_cum:
                 if draw < threshold:
                     name = candidate
                     break
-            sid = session.session_id
-            pair = self._ff_resolve.get((sid, name))
-            if pair is None:
-                found = session.find_function(name)
-                if found is not None:
-                    module, function = found
-                    pair = (module.m_id, function.func_id)
-                    self._ff_resolve[(sid, name)] = pair
-            if pair is not None:
-                key = (sid, pair, self.config)
-                entry = self._dispatcher.fast_forward_probe(session, key)
-                if entry is not None:
-                    window = self._ff_windows.get(key)
-                    if window is None:
-                        self._ff_windows[key] = [entry, 1, session]
-                    else:
-                        window[0] = entry
-                        window[1] += 1
-                    cycles = entry.trace.total_cycles
-                    self._pending_cycles += cycles
-                    state.calls_issued += 1
+            if self._ff_enabled:
+                key = (self._ff_keys.get((session.session_id, name))
+                       or self._ff_key(session, name))
+            queue = None
+        else:
+            queue, key = self._draw_batch(state, session, count)
+        if key is not None:
+            entry = self._dispatcher.fast_forward_probe(session, key)
+            if entry is not None:
+                window = self._ff_windows.get(key)
+                if window is None:
+                    self._ff_windows[key] = [entry, 1, session]
+                else:
+                    # keep the freshest entry: a re-recorded key stays
+                    # byte-equal (the probe's guards proved it) but guard
+                    # fields may be newer
+                    window[0] = entry
+                    window[1] += 1
+                cycles = entry.trace.total_cycles
+                self._pending_cycles += cycles
+                # the replay span's Stopwatch measures exactly the trace's
+                # cycles, so this division reproduces its latency float for
+                # float
+                state.calls_issued += count
+                if count == 1:
                     state.latencies_us.append(cycles / self._mhz)
-                    state.calls_denied += entry.denied
-                    return
-            # arguments never enter the trace key and are not drawn from
-            # the RNG, so synthesizing them only on the fallback is
-            # draw-for-draw identical to _draw_call
-            args = ((state.calls_issued,) if name == "test_incr" else ())
+                else:
+                    state.latencies_us.extend(
+                        [cycles / self._mhz / count] * count)
+                state.calls_denied += entry.denied
+                return
+        if self._ff_enabled:
+            # the span needs the real dispatch path, which must see the
+            # true clock (policy contexts, stopwatches): settle everything
             self._ff_flush()
-            self._dispatch_queue_slow(state, session, [(name, args)])
-            return
+        if queue is None:
+            queue = [(name, (state.calls_issued,)
+                      if name == "test_incr" else ())]
+        self._dispatch_queue_slow(state, session, queue)
+
+    def _draw_batch(self, state: ClientState, session, count: int):
+        """Draw a flush of ``count`` calls: the queue, and its trace key
+        when fast-forward is on (else None).  Kept out of
+        :meth:`_one_flush`, whose locals a comprehension would turn into
+        slower closure cells."""
         queue = [self._draw_call(state, offset) for offset in range(count)]
-        self._dispatch_queue(state, session, queue)
+        if not self._ff_enabled:
+            return queue, None
+        config = self._ff_configs.get(count)
+        if config is None:
+            config = self._ff_configs[count] = self._depth_config(count)
+        shape = tuple(sorted(self._ff_key(session, name)[1]
+                             for name, _ in queue))
+        return queue, (session.session_id, shape, config)
 
-    def _run_open_depth1_ff(self, times: List[float],
-                            indices: List[int]) -> None:
-        """Specialized static open/mmpp driver: depth 1, fast-forward on.
+    def _ff_key(self, session, name: str) -> Tuple:
+        """The trace key the dispatcher files a single call of ``name``
+        under, ``(session_id, (m_id, func_id), config)``; memoized.  A
+        deeper flush's key is the sorted shape of its calls' pairs under
+        its depth's config."""
+        key = self._ff_keys.get((session.session_id, name))
+        if key is None:
+            module, function = session.find_function(name)
+            key = self._ff_keys[(session.session_id, name)] = \
+                (session.session_id, (module.m_id, function.func_id),
+                 self.config)
+        return key
 
-        The generic path spends most of each simulated call on Python
-        frame overhead (five method hops per arrival); at 10^7-call sizes
-        that overhead *is* the simulation time.  This driver is the same
-        event loop with every hop inlined and every lookup hoisted — the
-        observable sequence (RNG draws, queue-delay records, probe guard
-        checks and cache touches, accumulated charges, fallback order) is
-        statement-for-statement the generic ``_advance_clock_to`` +
-        ``_one_flush`` flow, which the differential-identity tests pin
-        against the replay and op-by-op tiers.
+    def _depth_config(self, count: int) -> DispatchConfig:
+        """The DispatchConfig a flush of ``count`` calls dispatches under."""
+        return (self.config if self.config.batch_size >= count
+                else replace(self.config, batch_size=count))
+
+    def _dispatch_queue_slow(self, state: ClientState, session,
+                             queue: List[Tuple[str, Tuple]]) -> None:
+        """The real dispatch tail: op-by-op or per-call replay execution.
+
+        A queue of one goes through the ordinary single-call path (so a
+        depth-1 flush is the paper's per-call dispatch, cycle for cycle);
+        longer queues flush through the batched path in one chunk.
+        Callers must have settled any open fast-forward state first (the
+        stopwatch below needs the true clock).
         """
-        machine = self.machine
-        clock = machine.clock
-        # _now_us == profile.microseconds == cycles / profile.mhz;
-        # _advance_clock_to rounds idle against spec.mhz — mirror both
-        profile_mhz = machine.meter.profile.mhz
-        spec_mhz = machine.spec.mhz
-        mhz = self._mhz
-        modules = self.modules
-        single = len(modules) == 1
-        first_m_id = modules[0].m_id
-        resolve = self._ff_resolve
-        windows = self._ff_windows
-        probe = self._dispatcher.fast_forward_probe
-        config = self.config
-        mix_total = self._mix_total
-        mix_cum = self._mix_cum
-        mix_last = self._mix_last
-        observe_queue = self._observe_queue
-        broker = self.extension.broker
-        # per-client hoists: bound methods and (single-module) the constant
-        # session, so the loop touches no attribute chains on the hot path
-        ctx = {}
-        for cid, state in self._client_by_id.items():
-            session = state.sessions[first_m_id] if single else None
-            ctx[cid] = (state, state.rng.next_double,
-                        state.queue_delays_us.append,
-                        state.latencies_us.append,
-                        session,
-                        session.session_id if single else None)
-        # deferred-charge accumulators mirrored into locals; written back
-        # around every slow-path excursion and at loop exit
-        pending = self._pending_cycles
-        idle_pending = self._pending_idle_cycles
-        idle_events = self._pending_idle_events
-        # clock.cycles only moves on the slow path; cache it between flushes
-        base_cycles = clock.cycles
-        for at, index in zip(times, indices):
-            state, next_double, delay_append, lat_append, session, sid = \
-                ctx[index]
-            # -- _advance_clock_to(at), inlined --------------------------
-            now = (base_cycles + pending) / profile_mhz
-            if at > now:
-                idle = int(round((at - now) * spec_mhz))
-                pending += idle
-                idle_pending += idle
-                idle_events += 1
-                now = (base_cycles + pending) / profile_mhz
-            # -- _one_flush(state, 1, scheduled_at=at), inlined ----------
-            if not single:
-                registered = modules[state.rng.integer(0, len(modules) - 1)]
-                session = state.sessions[registered.m_id]
-                sid = session.session_id
-            delay = now - at
-            if delay < 0.0:
-                delay = 0.0
-            delay_append(delay)
-            if observe_queue:
-                broker.record_queue_delay(session, delay)
-            draw = mix_total * next_double()
-            name = mix_last
-            for candidate, threshold in mix_cum:
-                if draw < threshold:
-                    name = candidate
-                    break
-            pair = resolve.get((sid, name))
-            if pair is None:
-                found = session.find_function(name)
-                if found is not None:
-                    module, function = found
-                    pair = (module.m_id, function.func_id)
-                    resolve[(sid, name)] = pair
-            if pair is not None:
-                key = (sid, pair, config)
-                entry = probe(session, key)
-                if entry is not None:
-                    window = windows.get(key)
-                    if window is None:
-                        windows[key] = [entry, 1, session]
-                    else:
-                        window[0] = entry
-                        window[1] += 1
-                    cycles = entry.trace.total_cycles
-                    pending += cycles
-                    state.calls_issued += 1
-                    lat_append(cycles / mhz)
-                    state.calls_denied += entry.denied
-                    continue
-            args = ((state.calls_issued,) if name == "test_incr" else ())
-            # settle through the real flush: sync the mirrored state out,
-            # dispatch, then re-sync (the flush zeroed the accumulators and
-            # the slow call advanced the true clock)
-            self._pending_cycles = pending
-            self._pending_idle_cycles = idle_pending
-            self._pending_idle_events = idle_events
-            self._ff_flush()
-            self._dispatch_queue_slow(state, session, [(name, args)])
-            pending = self._pending_cycles
-            idle_pending = self._pending_idle_cycles
-            idle_events = self._pending_idle_events
-            base_cycles = clock.cycles
-        self._pending_cycles = pending
-        self._pending_idle_cycles = idle_pending
-        self._pending_idle_events = idle_events
+        count = len(queue)
+        mark = self._clock.checkpoint()
+        if count == 1:
+            name, args = queue[0]
+            outcome = self._dispatcher.call(
+                session, name, *args, config=self.config)
+            denied = 0 if outcome.ok else 1
+        else:
+            batch = self._dispatcher.call_batch(
+                session, queue, config=self._depth_config(count))
+            denied = batch.denied
+        service_us = self._clock.since(mark).microseconds(self._mhz)
+        state.calls_issued += count
+        state.latencies_us.extend([service_us / count] * count)
+        state.calls_denied += denied
+
+    def _one_service_call(self, state: ClientState, *,
+                          scheduled_at: Optional[float] = None) -> None:
+        """The service sink: one arrival, dispatched across the smodserve
+        RPC surface.
+
+        The call crosses the front-end exactly as a remote client's would:
+        client stub encode, loopback datagram, server dispatch, binding
+        resolve (keyed shard probe), SecModule dispatch, reply.  Latency is
+        measured around the whole round trip, so service-plane runs report
+        the served call cost, not just the dispatch tail.  Batching,
+        adaptive control and fast-forward are all off here (the spec
+        validator pins the first two; the constructor pins the third): the
+        replay tiers' guards do not span the RPC boundary.
+        """
+        registered = self._arrive(state, 1, scheduled_at)
+        if registered is None:
+            return
+        name, args = self._draw_call(state, 0)
+        func_id, arg_words = self._service_funcs[(registered.m_id, name)]
+        binding_id = self._service_bindings[state.index][registered.m_id]
+        stub = self._service_clients[state.index]
+        mark = self._clock.checkpoint()
+        result = stub.call("serve_call", binding_id, registered.m_id,
+                           func_id, args[0] if arg_words and args else 0)
+        service_us = self._clock.since(mark).microseconds(self._mhz)
+        state.calls_issued += 1
+        state.latencies_us.append(service_us)
+        if result < 0:
+            state.calls_denied += 1
+
+    def _aimd_sink(self):
+        """The AIMD sink: ``(arrive, drain)`` for the open-loop driver.
+
+        Each client holds its arrivals in a queue that flushes when it
+        reaches the controller's current depth.  Lull detection is
+        **gap-based**: an arrival gap at or beyond ``linger_us`` drains the
+        queue at that next arrival, so a burst's stragglers wait at most
+        one lull (not an age-based timer — holding a filling queue is the
+        price of amortization, and the recorded queueing delays state it
+        honestly).  A client's last arrival drains whatever it leaves
+        held, so tail calls are never deferred to another client's
+        schedule.
+
+        A flush picks its module and draws its calls when it fires.  Each
+        client's RNG feeds nothing else between its arrivals, so this is
+        the exact draw sequence of picking at the first held arrival and
+        drawing at each one; a depth-1 controller therefore stays
+        cycle-identical to the static single-call open loop.
+        """
+        spec = self.spec
+        start_us = self._now_us()
+        controllers = {
+            state.index: AdaptiveBatchController(
+                AdaptiveConfig(
+                    max_depth=spec.adaptive_max_depth,
+                    service_p95_target_us=spec.service_p95_target_us),
+                telemetry=self.telemetry, client=state.index,
+                start_us=start_us)
+            for state in self.clients}
+        if spec.service_p95_target_us > 0.0:
+            # closed loop: the controllers consume the observed flush
+            # service-time tail straight from the telemetry plane (the
+            # spec validator pinned telemetry on for this mode); the live
+            # family aggregate makes each read O(buckets)
+            flush_service = self.telemetry.registry.family(
+                "flush_service_us")
+
+            def service_p95() -> float:
+                return flush_service.quantile(95)
+
+            for controller in controllers.values():
+                controller.service_p95_supplier = service_p95
+        self._controllers = controllers
+
+        def flush(state: ClientState) -> None:
+            count = len(state.held_us)
+            if count:
+                self._one_flush(state, count)
+                controllers[state.index].on_flush(count, self._now_us())
+
+        def arrive(state: ClientState, count: int, *,
+                   scheduled_at: float) -> None:
+            index = state.index
+            self._advance_clock_to(scheduled_at)
+            controller = controllers[index]
+            if controller.observe_arrival(scheduled_at):
+                flush(state)        # lull: the queue will not fill, drain it
+            state.held_us.append(scheduled_at)
+            held = len(state.held_us)
+            if (held >= controller.depth
+                    or state.calls_issued + held == spec.calls_per_client):
+                flush(state)
+
+        def drain() -> None:
+            for state in self.clients:
+                flush(state)        # safety net; the last arrival drained it
+
+        return arrive, drain
 
     def _think_source(self, state: ClientState):
         """Per-client closed-loop think-time draw (``TrafficSpec.think``).
@@ -993,42 +1066,22 @@ class TrafficEngine:
             return mmpp.next_interarrival
         return lambda: state.rng.exponential(spec.mean_interval_us)
 
-    def _open_schedule(self, events_per_client: int
-                       ) -> List[Tuple[float, int, int]]:
-        """Pre-draw every client's open-loop arrival heap.
-
-        Entries are ``(fire_time_us, tiebreak, client_index)``; the
-        tiebreak keeps ordering deterministic when two clients share a
-        fire time.  Shared by the static open/mmpp path (one event per
-        flush) and the adaptive path (one event per call), so the two can
-        never diverge on schedule semantics — the depth-1 cycle-identity
-        guarantee rests on that.
-
-        Returned **sorted**, which is exactly the order a heap would pop
-        (keys are unique thanks to the tiebreak): the static schedule
-        never grows mid-run, so the consumers iterate instead of popping.
-        Pure-exponential clients draw their gaps in one vectorized call —
-        bit-identical to the scalar loop (see ``exponential_array``).
-        """
-        times, indices = self._open_schedule_sorted(events_per_client)
-        # the middle element only ever served as the sort tiebreak; the
-        # schedule arrives pre-sorted, so the post-sort position is the
-        # (equally unique, equally ordered) stand-in
-        return list(zip(times, range(len(times)), indices))
-
     def _open_schedule_sorted(self, events_per_client: int
                               ) -> Tuple[List[float], List[int]]:
-        """The open/mmpp schedule as parallel ``(times, indices)`` lists.
+        """Pre-draw every client's open-loop arrivals, in firing order.
 
-        Vectorized form of the tuple-list schedule, bit-identical by
-        construction at every step:
+        Returns parallel ``(times, indices)`` lists, bit-identical at every
+        step to pushing ``(time, insertion order, client)`` tuples through
+        a heap, which the static schedule never needs (it never grows
+        mid-run):
 
         * gaps accumulate through ``np.cumsum`` seeded with ``base_us``
           as element 0, which performs the same left-to-right float
           additions as the scalar ``at += gap`` loop (verified);
+          pure-exponential clients draw their gaps in one vectorized call
+          (see ``exponential_array``);
         * the global ordering is a **stable** argsort on fire time, which
-          equals sorting ``(time, insertion-order)`` tuples — the old
-          tiebreak was insertion order by construction.
+          equals sorting ``(time, insertion-order)`` tuples.
 
         Two parallel primitive lists instead of one tuple list keeps
         10^7-event schedules out of the cyclic GC's way: floats and ints
@@ -1053,219 +1106,60 @@ class TrafficEngine:
         order = np.argsort(times, kind="stable")
         return times[order].tolist(), indices[order].tolist()
 
-    def _run_adaptive(self) -> None:
-        """Open-loop arrivals, one call each, flushed by the AIMD controller.
-
-        Each client accumulates arrivals in a pending queue targeting one
-        module — chosen when the queue opens, so a depth-1 controller draws
-        the exact RNG sequence of the static single-call open loop and
-        stays cycle-identical to it.  The queue flushes when it reaches the
-        controller's current depth, and lull detection is **gap-based**: an
-        arrival gap at or beyond ``linger_us`` drains the queue at that
-        next arrival, so a burst's stragglers wait at most one lull (not an
-        age-based timer — holding a filling queue is the price of
-        amortization, and the recorded queueing delays state it honestly).
-        A client's last arrival drains whatever it leaves pending, so tail
-        calls are never deferred to another client's schedule.
-        """
-        spec = self.spec
-        events = self._open_schedule(spec.calls_per_client)
-        start_us = self._now_us()
-        controllers = {
-            state.index: AdaptiveBatchController(
-                AdaptiveConfig(
-                    max_depth=spec.adaptive_max_depth,
-                    service_p95_target_us=spec.service_p95_target_us),
-                telemetry=self.telemetry, client=state.index,
-                start_us=start_us)
-            for state in self.clients}
-        if spec.service_p95_target_us > 0.0:
-            # closed loop: the controllers consume the observed flush
-            # service-time tail straight from the telemetry plane (the
-            # spec validator pinned telemetry on for this mode); the live
-            # family aggregate makes each read O(buckets)
-            flush_service = self.telemetry.registry.family(
-                "flush_service_us")
-
-            def service_p95() -> float:
-                return flush_service.quantile(95)
-
-            for controller in controllers.values():
-                controller.service_p95_supplier = service_p95
-        pending: Dict[int, List[Tuple[str, Tuple]]] = \
-            {state.index: [] for state in self.clients}
-        arrivals: Dict[int, List[float]] = \
-            {state.index: [] for state in self.clients}
-        target: Dict[int, object] = {}
-
-        def flush(index: int) -> None:
-            queue = pending[index]
-            if not queue:
-                return
-            state = self._client_by_id[index]
-            session = state.pick_session(target[index].m_id)
-            now_us = self._now_us()
-            for at in arrivals[index]:
-                delay = max(0.0, now_us - at)
-                state.queue_delays_us.append(delay)
-                if self._observe_queue:
-                    self.extension.broker.record_queue_delay(session, delay)
-            self._dispatch_queue(state, session, queue)
-            controllers[index].on_flush(len(queue), self._now_us())
-            queue.clear()
-            arrivals[index].clear()
-
-        remaining: Dict[int, int] = \
-            {state.index: spec.calls_per_client for state in self.clients}
-        for at, _, index in events:
-            state = self._client_by_id[index]
-            self._advance_clock_to(at)
-            controller = controllers[index]
-            if controller.observe_arrival(at) and pending[index]:
-                flush(index)        # lull: the queue will not fill, drain it
-            if not pending[index]:
-                # a queue targets one module/session for its whole lifetime
-                # (single-module: the range-1 draw consumes no stream bits,
-                # so skipping it is sequence-identical)
-                target[index] = (
-                    self.modules[0] if len(self.modules) == 1 else
-                    self.modules[state.rng.integer(
-                        0, len(self.modules) - 1)])
-            pending[index].append(self._draw_call(state, len(pending[index])))
-            arrivals[index].append(at)
-            remaining[index] -= 1
-            if len(pending[index]) >= controller.depth or not remaining[index]:
-                flush(index)
-        for state in self.clients:
-            flush(state.index)      # safety net; the last arrival drained it
-        self._controllers = controllers
-
-    def _one_service_call(self, state: ClientState, *,
-                          scheduled_at: Optional[float] = None) -> None:
-        """One arrival, dispatched across the smodserve RPC surface.
-
-        The call crosses the front-end exactly as a remote client's would:
-        client stub encode, loopback datagram, server dispatch, binding
-        resolve (keyed shard probe), SecModule dispatch, reply.  Latency is
-        measured around the whole round trip, so service-plane runs report
-        the served call cost, not just the dispatch tail.
-        """
-        modules = self.modules
-        registered = (modules[0] if len(modules) == 1 else
-                      modules[state.rng.integer(0, len(modules) - 1)])
-        session = state.pick_session(registered.m_id)
-        if scheduled_at is not None:
-            delay = max(0.0, self._now_us() - scheduled_at)
-            if self._broker_shed and not \
-                    self.extension.broker.admit_delay(session, delay):
-                return
-            state.queue_delays_us.append(delay)
-            if self._observe_queue:
-                self.extension.broker.record_queue_delay(session, delay)
-        name, args = self._draw_call(state, 0)
-        func_id, arg_words = self._service_funcs[(registered.m_id, name)]
-        binding_id = self._service_bindings[state.index][registered.m_id]
-        stub = self._service_clients[state.index]
-        mark = self.machine.clock.checkpoint()
-        result = stub.call("serve_call", binding_id, registered.m_id,
-                           func_id, args[0] if arg_words and args else 0)
-        service_us = self.machine.clock.since(mark).microseconds(
-            self.machine.spec.mhz)
-        state.calls_issued += 1
-        state.latencies_us.append(service_us)
-        if result < 0:
-            state.calls_denied += 1
-
-    def _run_via_service(self) -> None:
-        """The service-plane driver: every call is one served RPC.
-
-        Batching, adaptive control and fast-forward are all off (the spec
-        validator pins the first two; the constructor pins the third): a
-        served call's cost is dominated by the transport round trip, and
-        the replay tiers' guards do not span the RPC boundary.
-        """
-        spec = self.spec
-        if spec.arrival in ("open", "mmpp"):
-            times, indices = self._open_schedule_sorted(
-                spec.calls_per_client)
-            for at, index in zip(times, indices):
-                state = self._client_by_id[index]
-                self._advance_clock_to(at)
-                self._one_service_call(state, scheduled_at=at)
-            return
-        events: List[Tuple[float, int, int]] = []
-        tiebreak = 0
-        base_us = self._now_us()
-        think = {s.index: self._think_source(s) for s in self.clients}
-        for state in self.clients:
-            first = base_us + think[state.index]()
-            heapq.heappush(events, (first, tiebreak, state.index))
-            tiebreak += 1
-        while events:
-            at, _, index = heapq.heappop(events)
-            state = self._client_by_id[index]
-            self._advance_clock_to(at)
-            self._one_service_call(state)
-            if state.calls_issued < spec.calls_per_client:
-                next_at = self._now_us() + think[state.index]()
-                heapq.heappush(events, (next_at, tiebreak, state.index))
-                tiebreak += 1
-
     def run(self) -> TrafficResult:
         """Drive the full call schedule and collect the result."""
         self.build()
         spec = self.spec
-        start_mark = self.machine.clock.checkpoint()
+        start_mark = self._clock.checkpoint()
+        by_id = self._client_by_id
 
-        # static paths: each arrival event flushes up to batch_size calls
-        flushes = math.ceil(spec.calls_per_client / spec.batch_size)
-        last_flush = (spec.calls_per_client -
-                      (flushes - 1) * spec.batch_size)
+        # each arrival flushes `batch` calls, a client's last one the rest
+        # (adaptive and service runs pin batch_size to 1)
+        batch = spec.batch_size
+        arrivals = math.ceil(spec.calls_per_client / batch)
+        last = spec.calls_per_client - (arrivals - 1) * batch
+        left = {index: arrivals for index in by_id}
+        uneven = last != batch
+        drain = None
+        if spec.adaptive_batch:
+            sink, drain = self._aimd_sink()
+        elif spec.via_service:
+            one_service_call = self._one_service_call
 
-        def flush_size(nth: int) -> int:
-            return spec.batch_size if nth < flushes - 1 else last_flush
-
-        if spec.via_service:
-            self._run_via_service()
-        elif spec.adaptive_batch:
-            self._run_adaptive()
-        elif spec.arrival in ("open", "mmpp"):
-            # pre-draw every arrival per client, independent of completions
-            if spec.batch_size == 1 and self._ff_enabled:
-                # every flush is depth 1; take the hoisted/inlined driver
-                times, indices = self._open_schedule_sorted(flushes)
-                self._run_open_depth1_ff(times, indices)
-            else:
-                events = self._open_schedule(flushes)
-                flushed: Dict[int, int] = {s.index: 0 for s in self.clients}
-                for at, _, index in events:
-                    state = self._client_by_id[index]
-                    self._advance_clock_to(at)
-                    count = flush_size(flushed[index])
-                    flushed[index] += 1
-                    self._one_flush(state, count, scheduled_at=at)
+            def sink(state, count, scheduled_at=None):
+                one_service_call(state, scheduled_at=scheduled_at)
         else:
-            # closed loop: the next event is drawn after each completion
+            sink = self._one_flush
+
+        if spec.arrival == "closed":
+            # the next arrival is drawn after each completion
             events: List[Tuple[float, int, int]] = []
-            tiebreak = 0
             base_us = self._now_us()
             think = {s.index: self._think_source(s) for s in self.clients}
-            for state in self.clients:
-                first = base_us + think[state.index]()
-                heapq.heappush(events, (first, tiebreak, state.index))
-                tiebreak += 1
-            flushed = {s.index: 0 for s in self.clients}
+            for tiebreak, state in enumerate(self.clients):
+                heapq.heappush(events, (base_us + think[state.index](),
+                                        tiebreak, state.index))
+            tiebreak = len(events)
             while events:
                 at, _, index = heapq.heappop(events)
-                state = self._client_by_id[index]
                 self._advance_clock_to(at)
-                count = flush_size(flushed[index])
-                flushed[index] += 1
-                self._one_flush(state, count)
-                if state.calls_issued < spec.calls_per_client:
-                    next_at = self._now_us() + think[state.index]()
-                    heapq.heappush(events, (next_at, tiebreak, state.index))
+                left[index] = n = left[index] - 1
+                sink(by_id[index], batch if n else last)
+                if n:
+                    heapq.heappush(events, (self._now_us() + think[index](),
+                                            tiebreak, index))
                     tiebreak += 1
+        else:
+            # pre-drawn arrivals per client, independent of completions
+            times, indices = self._open_schedule_sorted(arrivals)
+            for at, index in zip(times, indices):
+                count = batch
+                if uneven:
+                    left[index] = n = left[index] - 1
+                    count = batch if n else last
+                sink(by_id[index], count, scheduled_at=at)
+        if drain is not None:
+            drain()
 
         # settle every open fast-forward window before reading the clock
         self._ff_flush()
@@ -1273,7 +1167,7 @@ class TrafficEngine:
             # a clean run leaves no open spans; force-close (and flag) any
             # stragglers so the recorder's view is complete
             self.tracer.drain()
-        interval = self.machine.clock.since(start_mark)
+        interval = self._clock.since(start_mark)
         # array-to-array extends are raw memcpys — no 10^7-object churn
         latencies = array("d")
         delays = array("d")
@@ -1285,7 +1179,7 @@ class TrafficEngine:
             spec=spec,
             total_calls=total_calls,
             denied_calls=sum(s.calls_denied for s in self.clients),
-            elapsed_us=interval.microseconds(self.machine.spec.mhz),
+            elapsed_us=interval.microseconds(self._mhz),
             total_cycles=interval.cycles,
             cycles_per_call=(interval.cycles / total_calls
                              if total_calls else 0.0),
@@ -1299,13 +1193,13 @@ class TrafficEngine:
             shard_sizes=self.extension.sessions.shard_sizes(),
             session_count=len(self.extension.sessions),
             handle_count=self.extension.sessions.handle_count(),
-            broker_stats=self.extension.broker.snapshot(),
+            broker_stats=self._broker.snapshot(),
             metrics=(self.telemetry.snapshot()
                      if self.telemetry.enabled else {}),
             adaptive=({"per_client": [self._controllers[s.index].snapshot()
                                       for s in self.clients]}
                       if self._controllers else {}),
-            seat_fairness=(self.extension.broker.seat_delay_report()
+            seat_fairness=(self._broker.seat_delay_report()
                            if self.telemetry.enabled else {}),
             trace_spans=(self.tracer.spans()
                          if self.tracer.enabled else []),

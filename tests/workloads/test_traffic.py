@@ -292,6 +292,33 @@ class TestSpecValidation:
         with pytest.raises(SimulationError):
             TrafficSpec(arrival="bursty")
 
+    @pytest.mark.parametrize("overrides", [
+        dict(call_mix=()),
+        dict(call_mix=(("nope", 1.0),)),
+        dict(call_mix=(("test_incr", 0.0), ("getpid", 0.0))),
+        dict(call_mix=(("test_incr", 1.0), ("getpid", -0.5))),
+        dict(call_mix=(("test_incr", float("inf")),)),
+        dict(mean_interval_us=-5.0),
+        dict(mean_interval_us=float("nan")),
+        dict(arrival="mmpp", burst_interval_us=0.0),
+        dict(arrival="mmpp", burst_on_us=0.0),
+        dict(policy_kind="bogus"),
+    ], ids=["empty-mix", "unknown-function", "zero-weights",
+            "negative-weight", "infinite-weight", "negative-interval",
+            "nan-interval", "mmpp-zero-burst-interval", "mmpp-zero-sojourn",
+            "unknown-policy"])
+    def test_rejects_bad_spec_at_construction(self, overrides):
+        from repro.errors import SimulationError
+        with pytest.raises(SimulationError):
+            small_spec(**overrides)
+
+    def test_accepts_a_partial_mix_and_zero_interval(self):
+        spec = small_spec(call_mix=(("getpid", 1.0), ("test_null", 0.0)),
+                          mean_interval_us=0.0)
+        result = run_traffic(spec)
+        assert result.denied_calls == 0
+        assert result.total_calls == spec.clients * spec.calls_per_client
+
     def test_policy_kinds(self):
         for kind in ("static", "quota", "expiry", "deny-only"):
             assert traffic_policy(small_spec(policy_kind=kind)) is not None
