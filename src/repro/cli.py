@@ -363,6 +363,15 @@ def _update_baselines(baselines_dir: str) -> List[str]:
                 tenants=params["tenants"],
                 sessions_per_client=params["sessions_per_client"],
                 seed=params["seed"])
+        elif experiment == "abl-pool":
+            report = run_pool_sweep(
+                seats=tuple(params["seats"]), sessions=params["sessions"],
+                calls_per_session=params["calls_per_session"],
+                seed=params["seed"])
+        elif experiment == "abl-adaptive":
+            report = run_adaptive_bench(**{
+                key: tuple(value) if key == "depths" else value
+                for key, value in params.items() if key != "fast"})
         elif experiment == "abl-overload":
             report = run_overload_sweep(
                 ratios=tuple(params["ratios"]),

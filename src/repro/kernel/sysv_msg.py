@@ -35,30 +35,13 @@ IPC_NOWAIT = 0o4000
 class Message:
     """One queued message: a type tag plus a payload of 32-bit words.
 
-    A message may carry several logical *parts* — the batched dispatch path
-    packs one part per queued protected call into a single send, so the whole
-    queue pays one ``msgsnd``/``msgrcv`` pair instead of one per call.  The
-    flat ``payload`` is what travels (and what the per-word charge covers);
-    ``parts`` records the boundaries so the receiver can unpack without
-    re-parsing.
+    A dispatch request carries one ``(m_id, func_id, rtnaddr)`` triple per
+    queued protected call, so a whole queue pays one ``msgsnd``/``msgrcv``
+    pair instead of one per call; the per-word charge covers the payload.
     """
 
     mtype: int
     payload: Tuple[int, ...] = ()
-    #: logical sub-payload boundaries; empty for ordinary single-part messages
-    parts: Tuple[Tuple[int, ...], ...] = ()
-
-    @classmethod
-    def batched(cls, mtype: int,
-                parts: List[Tuple[int, ...]]) -> "Message":
-        """Pack several per-call payloads into one multi-part message."""
-        packed = tuple(tuple(part) for part in parts)
-        flat = tuple(word for part in packed for word in part)
-        return cls(mtype=mtype, payload=flat, parts=packed)
-
-    @property
-    def part_count(self) -> int:
-        return len(self.parts) if self.parts else (1 if self.payload else 0)
 
     @property
     def words(self) -> int:

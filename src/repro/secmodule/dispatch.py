@@ -1,21 +1,36 @@
 """The protected-call dispatch path (``sys_smod_call``).
 
-This is the code whose latency the paper's Figure 8 measures.  One protected
-call executes, in order:
+This is the code whose latency the paper's Figure 8 measures.  There is one
+path, over a queue of ``n >= 1`` calls; the paper's single protected call
+is the queue of one.  A flush executes, in order:
 
-1. the client-side stub pushes the argument frame and the
+1. the client-side stub pushes each call's argument frame and its
    ``(moduleID, funcID)`` pair on the shared stack (Figure 3 steps 1–2);
-2. ``sys_smod_call(framep, rtnaddr, m_id, funcID)`` traps into the kernel,
-   which verifies the caller has a live session for ``m_id`` and that the
-   credential/policy still allow the call;
+2. one trap — ``sys_smod_call(framep, rtnaddr, m_id, funcID)`` for a
+   single call, ``sys_smod_call_batch`` for a longer queue — enters the
+   kernel, which verifies the caller has a live session and that the
+   credential/policy still allow each call;
 3. the kernel notifies the handle through the session's SysV message queue
    and context-switches to it;
-4. the handle's ``smod_stub_receive`` (on its secret stack) strips the frame
-   down to the bare arguments, relays to the real function on the shared
-   stack, and restores the frame (Figure 3 steps 3–4);
-5. the handle posts the result on the reply queue, the kernel switches back
-   to the client, copies the return value out and returns from the trap;
-6. the client stub unwinds its frame.
+4. the handle's ``smod_stub_receive`` (on its secret stack) strips each
+   frame down to the bare arguments, relays to the real function on the
+   shared stack, and restores the frame (Figure 3 steps 3–4);
+5. the handle posts the results on the reply queue, the kernel switches
+   back to the client, copies the return values out and returns from the
+   trap;
+6. the client stub unwinds what is left of the frames.
+
+A queue of more than one call adds four things, each chosen by the queue
+length, never by an option:
+
+* one ``SMOD_BATCH_SETUP`` charge per trap and one ``SMOD_BATCH_ENTRY``
+  per entry — the kernel walks the queue it was handed;
+* a batch-aware decision prefetch: one epoch check validates every
+  memoized decision the queue needs (see :meth:`SmodDispatcher._prefetch`);
+* the handle, not the client stub, pops each executed frame's remains
+  (restored fp/ret and the args) as stub fix-up work — in a queue the
+  client never revisits individual frames;
+* a whole-queue rejection fails the rest of a chunked queue in place.
 
 The :class:`DispatchConfig` knobs expose the design alternatives the paper
 discusses but does not measure — the §4.4 multithreaded-client hardenings
@@ -27,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..control.overload import OverloadController
@@ -81,20 +96,18 @@ class DispatchConfig:
     #: always-allow policy the cache never engages, so the default stays
     #: cycle-identical to the published setup either way.
     use_decision_cache: bool = True
-    #: queue depth of the batched dispatch path: how many protected calls the
-    #: client-side stub accumulates before flushing them through a single
-    #: ``sys_smod_call_batch`` trap.  1 reproduces the paper's behaviour
-    #: (every call pays its own trap and two context switches); larger values
-    #: amortize those fixed costs across the queue.  ``call_batch`` chunks
-    #: longer queues to this bound.
+    #: the longest queue one trap flushes: ``call_batch`` chunks longer
+    #: queues to this bound.  1 reproduces the paper's behaviour (every
+    #: call pays its own trap and two context switches); larger values
+    #: amortize those fixed costs across the queue.  An int >= 1.
     batch_size: int = 1
     #: trace-replay fast path: record the exact charge sequence of a
-    #: steady-state protected call (or batch flush) once, then replay later
-    #: identical calls as one aggregated clock charge.  Accounting is
-    #: byte-identical either way — cycle totals, op histograms, cache
-    #: statistics — the knob only trades simulator wall-clock for the
-    #: op-by-op execution (see docs/performance.md); disable it to force
-    #: every call down the op-by-op path.
+    #: steady-state flush once, then replay later identical flushes as one
+    #: aggregated clock charge.  Accounting is byte-identical either way —
+    #: cycle totals, op histograms, cache statistics — the knob only trades
+    #: simulator wall-clock for the op-by-op execution (see
+    #: docs/performance.md); disable it to force every call down the
+    #: op-by-op path.
     use_trace_replay: bool = True
     #: analytic fast-forward tier: once a key is HOT, a driver (the traffic
     #: engine) may accumulate N identical spans and settle them as a single
@@ -105,6 +118,10 @@ class DispatchConfig:
     record_checkpoints: bool = False
 
     def __post_init__(self) -> None:
+        size = self.batch_size
+        if type(size) is not int or size < 1:
+            raise SimulationError(
+                f"batch_size must be an int >= 1, got {size!r}")
         # the generated frozen-dataclass hash walks every field (two enums
         # included) on each dict operation, and trace-cache keys embed the
         # config — so every lookup on the hot path pays it.  Configs are
@@ -133,16 +150,17 @@ class DispatchOutcome:
 
 @dataclass
 class BatchOutcome:
-    """Result of one batched flush: per-entry outcomes in submission order.
+    """Result of one flush: per-entry outcomes in submission order.
 
-    Per-entry failures (ENOENT, EACCES) never abort the batch — each entry
-    carries its own :class:`DispatchOutcome`.  ``errno`` is set only when the
-    *whole* queue was rejected before any entry ran (dead session, foreign
-    client), in which case every entry's outcome carries the same errno.
+    Per-entry failures (ENOENT, EACCES) never abort the flush — each entry
+    carries its own :class:`DispatchOutcome`.  ``errno`` is set only when
+    the *whole* queue was rejected before any entry ran (dead session,
+    foreign client), in which case every entry's outcome carries the same
+    errno.
     """
 
     outcomes: List[DispatchOutcome] = field(default_factory=list)
-    #: batch-level rejection (EINVAL/EPERM); None when entries were processed
+    #: queue-level rejection (EINVAL/EPERM); None when entries were processed
     errno: Optional[Errno] = None
 
     @property
@@ -187,6 +205,9 @@ TRACE_CONFIRMING, TRACE_HOT, TRACE_POISONED = 0, 1, 2
 #: consecutive confirm mismatches before a key is poisoned
 TRACE_MISMATCH_LIMIT = 8
 
+#: span kind of a flush, by whether it held more than one call
+SPAN_KINDS = ("dispatch.call", "dispatch.batch")
+
 
 class TraceEntry:
     """One recorded dispatch span: its charge sequence and state deltas."""
@@ -201,64 +222,55 @@ class TraceEntry:
         "cache_batch_served", "cache_touch_keys",
         # replay plumbing
         "env", "handle", "m_ids",
-        # outcome template: single calls use ``errno``; batch flushes use
-        # ``batch_plan`` (one (module, function, errno) triple per entry)
-        "errno", "batch_plan", "any_executed", "depth",
-        # fast-forward plumbing: per-module executed-call counts for the
-        # bulk ``note_calls`` (always one pair for singles, count 0 when
-        # denied), and the batch plan re-keyed by (m_id, func_id) so a
-        # canonically-keyed batch replays any permutation of its shape
-        "note_plan", "plan_by_pair",
+        # outcome template: one (module, function, errno) triple per entry,
+        # and the same re-keyed by (m_id, func_id) so a sorted-shape key
+        # replays any permutation of its calls
+        "plan", "plan_by_pair", "any_executed", "depth",
+        # per-module executed-call counts for the fast-forward tier's bulk
+        # ``note_calls`` (every module of the plan, count 0 when denied)
+        "note_plan",
     )
 
     def effects_signature(self) -> Tuple:
         """Everything beyond the charge sequence that must repeat exactly.
 
-        Batch flushes under a canonical (sorted-shape) key legitimately
-        observe their per-entry plan and decision-cache touches in a
-        different *order* per permutation, so those fields compare as
-        multisets; the totals they charge are permutation-invariant.
+        The key is the *sorted* shape, so a flush may observe its per-entry
+        plan and decision-cache touches in a different order per
+        permutation; those fields compare as multisets.
         """
-        if self.batch_plan is None:
-            plan_sig: object = self.errno
-            touches: Tuple = self.cache_touch_keys
-        else:
-            plan_sig = tuple(sorted(
-                (module.m_id, function.func_id,
-                 "" if errno is None else errno.name)
-                for module, function, errno in self.batch_plan))
-            touches = tuple(sorted(self.cache_touch_keys))
+        plan_sig = tuple(sorted(
+            (module.m_id, function.func_id, "" if errno is None else errno.name)
+            for module, function, errno in self.plan))
         return (self.dispatched, self.denied, self.served,
                 self.cache_hits, self.cache_misses, self.cache_batch_checks,
-                self.cache_batch_served, touches, plan_sig)
+                self.cache_batch_served, tuple(sorted(self.cache_touch_keys)),
+                plan_sig)
 
-    def charge_signature(self) -> object:
-        """The charge sequence, canonicalized the same way.
-
-        Single-call spans must repeat their exact op sequence; batch spans
-        under a sorted-shape key may interleave per-entry ops differently
-        per permutation, so they compare as (event count, op totals) —
-        which is precisely what the aggregated replay charge applies.
-        """
-        if self.batch_plan is None:
-            return self.raw_ops
+    def charge_signature(self) -> Tuple:
+        """The charge sequence as the replay applies it: the event count
+        and the per-op totals (permutations of a sorted-shape key may
+        interleave per-entry ops differently; the aggregated charge cannot
+        tell)."""
         totals: Dict[str, int] = {}
         for operation, count in self.raw_ops:
             totals[operation] = totals.get(operation, 0) + count
         return (len(self.raw_ops), tuple(sorted(totals.items())))
 
 
+
+
 class TraceCache:
     """Per-dispatcher store of recorded call traces, LRU-bounded.
 
-    Keys are ``(session_id, call shape, DispatchConfig)`` tuples; the shape
-    is ``(m_id, func_id)`` for a single call and the per-entry tuple of
-    those pairs for a batch flush, so every distinct op sequence gets its
-    own trace.  Invalidation is two-layered: cheap per-replay guard checks
-    (policy epoch, handle seat epoch, session liveness) catch anything that
-    changed under a live key, and the explicit ``invalidate_*`` hooks —
-    forwarded from the decision cache and the handle broker — drop entries
-    eagerly so the cache never fills with dead keys.
+    Keys are ``(session_id, call shape, DispatchConfig)`` tuples built by
+    :meth:`SmodDispatcher.trace_key`; the shape is the sorted tuple of the
+    flush's ``(m_id, func_id)`` pairs (one pair for a single call), so
+    every distinct multiset of calls gets its own trace.  Invalidation is
+    two-layered: cheap per-replay guard checks (policy epoch, handle seat
+    epoch, session liveness) catch anything that changed under a live key,
+    and the explicit ``invalidate_*`` hooks — forwarded from the decision
+    cache and the handle broker — drop entries eagerly so the cache never
+    fills with dead keys.
     """
 
     DEFAULT_CAPACITY = 4096
@@ -361,6 +373,8 @@ class TraceCache:
                 "fast_forward_calls": self.fast_forward_calls}
 
 
+
+
 class SmodDispatcher:
     """Executes protected calls for established sessions."""
 
@@ -385,6 +399,9 @@ class SmodDispatcher:
         #: and the entry check compiles down to one attribute test
         self.overload: Optional[OverloadController] = None
         self.calls_shed = 0
+        #: (config, n) -> the widened config of a one-chunk flush of n calls
+        self._flush_configs: Dict[Tuple[DispatchConfig, int],
+                                  DispatchConfig] = {}
 
     # ------------------------------------------------------------------ helpers
     def _admit(self, session: Session, tokens: int) -> bool:
@@ -486,23 +503,32 @@ class SmodDispatcher:
             machine.charge(costs.SCHED_ENQUEUE)
 
     # ----------------------------------------------------- trace-replay helpers
-    def _traceable(self, session: Session, function: SecFunction,
-                   module: RegisteredModule, config: DispatchConfig,
-                   machine) -> bool:
-        """May this call's charge sequence be recorded and replayed at all?
+    def _flush_key(self, session: Session, found_list,
+                   config: DispatchConfig) -> Optional[Tuple]:
+        """The trace-cache key of this flush, or None when its charge
+        sequence may not be recorded and replayed at all.
 
         Everything that can make the sequence vary call-to-call under an
         unchanged key stays on the op-by-op path: stateful (non-static)
         policy chains, variable-cost function bodies, Figure 3 checkpoint
-        recording, and a live event TraceBuffer (replay skips its emits).
+        recording, a live event TraceBuffer (replay skips its emits) and
+        names that do not resolve.
         """
-        return (config.use_trace_replay
-                and not config.record_checkpoints
-                and not machine.trace.enabled
-                and function.fixed_cost
-                and session.established and not session.torn_down
-                and (not config.per_call_policy_check
-                     or policy_is_cacheable(module.definition.policy)))
+        if (not config.use_trace_replay or config.record_checkpoints
+                or self.kernel.machine.trace.enabled
+                or not session.established or session.torn_down):
+            return None
+        pairs = []
+        for found in found_list:
+            if found is None:
+                return None
+            module, function = found
+            if not function.fixed_cost or (
+                    config.per_call_policy_check
+                    and not policy_is_cacheable(module.definition.policy)):
+                return None
+            pairs.append((module.m_id, function.func_id))
+        return self._key(session, pairs, config)
 
     @staticmethod
     def _shared_entry_signature(session: Session) -> Tuple[int, ...]:
@@ -510,7 +536,6 @@ class SmodDispatcher:
         charges are a function of these, so they guard those traces)."""
         return tuple(e.pages
                      for e in session.client.vmspace.shared_entries())
-
     def _trace_guard_ok(self, entry: TraceEntry, session: Session) -> bool:
         """Cheap precondition re-validation before a replay."""
         if not session.established or session.torn_down:
@@ -546,13 +571,10 @@ class SmodDispatcher:
         self.decision_cache.stop_touch_log()
 
     def _finish_trace_recording(self, recording, key: Tuple,
-                                session: Session, module_ids, *,
-                                config: DispatchConfig,
-                                errno: Optional[Errno] = None,
-                                module: Optional[RegisteredModule] = None,
-                                batch_plan=None, any_executed: bool = True,
-                                depth: int = 1) -> None:
-        """Turn one recorded slow execution into a (confirming) trace entry."""
+                                session: Session, found_list,
+                                outcomes: List[DispatchOutcome],
+                                config: DispatchConfig) -> None:
+        """Turn one recorded op-by-op flush into a (confirming) trace entry."""
         recorder, before = recording
         raw_ops = recorder.stop()
         touches = self.decision_cache.stop_touch_log()
@@ -587,31 +609,20 @@ class SmodDispatcher:
                                     client=session.client,
                                     handle=session.handle.proc)
         entry.handle = session.handle
-        entry.m_ids = frozenset(module_ids)
-        entry.errno = errno
-        entry.batch_plan = batch_plan
-        entry.any_executed = any_executed
-        entry.depth = depth
-        if batch_plan is None:
-            # singles always carry their module (count 0 when denied) so the
-            # fast-forward commit can name it in the telemetry mirror
-            entry.note_plan = ((module, 0 if errno is not None else 1),)
-            entry.plan_by_pair = None
-        else:
-            executed: Dict[int, List] = {}
-            for plan_module, _, plan_errno in batch_plan:
-                if plan_errno is None:
-                    slot = executed.get(plan_module.m_id)
-                    if slot is None:
-                        executed[plan_module.m_id] = slot = [plan_module, 0]
-                    slot[1] += 1
-            entry.note_plan = tuple(
-                (slot_module, count) for slot_module, count
-                in executed.values())
-            entry.plan_by_pair = {
-                (plan_module.m_id, plan_function.func_id):
-                    (plan_module, plan_function, plan_errno)
-                for plan_module, plan_function, plan_errno in batch_plan}
+        entry.plan = tuple((module, function, outcome.errno)
+                           for (module, function), outcome
+                           in zip(found_list, outcomes))
+        entry.plan_by_pair = {(module.m_id, function.func_id): errno
+                              for module, function, errno in entry.plan}
+        entry.m_ids = frozenset(module.m_id for module, _, _ in entry.plan)
+        entry.any_executed = any(errno is None for _, _, errno in entry.plan)
+        entry.depth = len(entry.plan)
+        executed: Dict[int, List] = {}
+        for module, _, errno in entry.plan:
+            slot = executed.setdefault(module.m_id, [module, 0])
+            if errno is None:
+                slot[1] += 1
+        entry.note_plan = tuple(tuple(slot) for slot in executed.values())
         self._observe_trace(key, entry)
 
     def _observe_trace(self, key: Tuple, entry: TraceEntry) -> None:
@@ -637,72 +648,66 @@ class SmodDispatcher:
         cache.records += 1
         cache.store(key, entry)
 
-    def _replay_effects(self, entry: TraceEntry, session: Session) -> bool:
-        """Apply a hot trace's aggregated charges and state deltas.
-
-        Returns False (nothing applied) when the decision-cache touches can
-        no longer be repeated — the caller falls back to the slow path.
-        """
-        cache = self.decision_cache
-        if entry.cache_touch_keys and not cache.replay_touch(
-                session, entry.cache_touch_keys):
-            self.trace_cache.fallbacks += 1
-            return False
-        self.kernel.machine.meter.charge_trace(entry.trace)
+    def _credit(self, entry: TraceEntry, n: int) -> None:
+        """Apply ``n`` spans of a hot trace in bulk: the scaled trace charge
+        (cycles, events and the op histogram all multiply exactly) and
+        every counter delta the op-by-op execution would have made."""
+        self.kernel.machine.meter.charge_trace(entry.trace.scaled(n))
         if (entry.cache_hits or entry.cache_misses
                 or entry.cache_batch_checks or entry.cache_batch_served):
-            cache.credit_replay(hits=entry.cache_hits,
-                                misses=entry.cache_misses,
-                                batch_epoch_checks=entry.cache_batch_checks,
-                                batch_served=entry.cache_batch_served)
-        self.calls_dispatched += entry.dispatched
-        self.calls_denied += entry.denied
-        entry.handle.calls_served += entry.served
-        self.trace_cache.replays += 1
-        return True
+            self.decision_cache.credit_replay(
+                hits=entry.cache_hits * n, misses=entry.cache_misses * n,
+                batch_epoch_checks=entry.cache_batch_checks * n,
+                batch_served=entry.cache_batch_served * n)
+        self.calls_dispatched += entry.dispatched * n
+        self.calls_denied += entry.denied * n
+        entry.handle.calls_served += entry.served * n
 
-    def _replay_single(self, entry: TraceEntry, session: Session,
-                       module: RegisteredModule, function: SecFunction,
-                       args) -> Optional[DispatchOutcome]:
-        """Replay one hot single-call trace; None → take the slow path."""
-        machine = self.kernel.machine
-        telemetry = self.telemetry
-        watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
-        if not self._replay_effects(entry, session):
-            return None
-        if entry.errno is not None:
-            if watch is not None:
-                telemetry.record_dispatch(session.session_id, module.name,
-                                          watch.elapsed_us())
-            return DispatchOutcome(errno=entry.errno)
-        session.note_call(module)
-        value = function.impl(entry.env, *args)
-        if watch is not None:
-            telemetry.record_handle_queue(entry.handle.proc.pid, 1)
-            telemetry.record_dispatch(session.session_id, module.name,
-                                      watch.elapsed_us())
-        return DispatchOutcome(value=value)
+    def _observe_flush(self, session: Session, calls: int, depth: int,
+                       module: Optional[RegisteredModule], span_us: float,
+                       n: int = 1) -> None:
+        """Dispatch-level telemetry of ``n`` identical flushes of ``calls``
+        calls, ``depth`` of which reached the kernel: a single call feeds
+        its module's latency histogram, a longer queue the batch ones."""
+        if calls == 1:
+            self.telemetry.record_dispatch(session.session_id, module.name,
+                                           span_us, n=n)
+        else:
+            self.telemetry.record_batch(session.session_id, depth, span_us,
+                                        n=n)
 
-    def _replay_batch(self, entry: TraceEntry, session: Session,
-                      calls, found_list) -> Optional[BatchOutcome]:
-        """Replay one hot batch-flush trace; None → take the slow path.
+    def _observe_span(self, entry: TraceEntry, session: Session,
+                      span_us: float, n: int = 1) -> None:
+        """Telemetry of ``n`` replayed spans of ``entry``, including the
+        handle-queue depth the op-by-op handle records itself."""
+        if entry.any_executed:
+            self.telemetry.record_handle_queue(entry.handle.proc.pid,
+                                               entry.depth, n=n)
+        self._observe_flush(session, entry.depth, entry.depth,
+                            entry.note_plan[0][0], span_us, n)
+
+    def _replay(self, entry: TraceEntry, session: Session, calls,
+                found_list) -> Optional[BatchOutcome]:
+        """Replay one hot trace; None → take the op-by-op path.
 
         The trace key is the *sorted* shape, so this flush may be any
         permutation of the recorded one; per-entry outcomes come from the
         plan re-keyed by (m_id, func_id) rather than by position.
         """
         machine = self.kernel.machine
-        telemetry = self.telemetry
         watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
-        if not self._replay_effects(entry, session):
+                 if self.telemetry.enabled else None)
+        if entry.cache_touch_keys and not self.decision_cache.replay_touch(
+                session, entry.cache_touch_keys):
+            self.trace_cache.fallbacks += 1
             return None
+        self._credit(entry, 1)
+        self.trace_cache.replays += 1
         env = entry.env
         plan = entry.plan_by_pair
         outcomes: List[DispatchOutcome] = []
         for (module, function), (_, args) in zip(found_list, calls):
-            errno = plan[(module.m_id, function.func_id)][2]
+            errno = plan[(module.m_id, function.func_id)]
             if errno is not None:
                 outcomes.append(DispatchOutcome(errno=errno))
             else:
@@ -710,11 +715,7 @@ class SmodDispatcher:
                 outcomes.append(
                     DispatchOutcome(value=function.impl(env, *args)))
         if watch is not None:
-            if entry.any_executed:
-                telemetry.record_handle_queue(entry.handle.proc.pid,
-                                              entry.depth)
-            telemetry.record_batch(session.session_id, entry.depth,
-                                   watch.elapsed_us())
+            self._observe_span(entry, session, watch.elapsed_us())
         return BatchOutcome(outcomes=outcomes)
 
     # ------------------------------------------------------------ fast-forward
@@ -744,6 +745,8 @@ class SmodDispatcher:
             return None
         if not self._trace_guard_ok(entry, session):
             return None
+        # inline, not shared with _replay: this runs once per fast-forwarded
+        # call, where one more Python frame is measurable
         if entry.cache_touch_keys and not self.decision_cache.replay_touch(
                 session, entry.cache_touch_keys):
             self.trace_cache.fallbacks += 1
@@ -756,214 +759,146 @@ class SmodDispatcher:
         charge.
 
         Everything a loop of ``n`` replays would apply, applied in bulk:
-        the scaled trace charge (cycles, events and the op histogram the
-        telemetry op mirror reads all multiply exactly), the dispatcher/handle
-        counters, per-module ``note_calls``, the decision-cache replay
-        credits (the per-span touches already ran in
-        :meth:`fast_forward_probe`), and the dispatch-level telemetry
-        histograms via their bulk ``n`` parameter.
+        :meth:`_credit`, per-module ``note_calls``, and the dispatch-level
+        telemetry histograms via their bulk ``n`` parameter (the per-span
+        decision-cache touches already ran in :meth:`fast_forward_probe`).
         """
         if n <= 0:
             return
-        machine = self.kernel.machine
-        machine.meter.charge_trace(entry.trace.scaled(n))
-        cache = self.decision_cache
-        if (entry.cache_hits or entry.cache_misses
-                or entry.cache_batch_checks or entry.cache_batch_served):
-            cache.credit_replay(hits=entry.cache_hits * n,
-                                misses=entry.cache_misses * n,
-                                batch_epoch_checks=entry.cache_batch_checks * n,
-                                batch_served=entry.cache_batch_served * n)
-        self.calls_dispatched += entry.dispatched * n
-        self.calls_denied += entry.denied * n
-        entry.handle.calls_served += entry.served * n
+        self._credit(entry, n)
         for module, executed in entry.note_plan:
             if executed:
                 session.note_calls(module.m_id, executed * n)
         trace_cache = self.trace_cache
         trace_cache.fast_forwards += 1
         trace_cache.fast_forward_calls += n
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            span_us = entry.trace.total_cycles / machine.spec.mhz
-            if entry.batch_plan is None:
-                module = entry.note_plan[0][0]
-                telemetry.record_dispatch(session.session_id, module.name,
-                                          span_us, n=n)
-                if entry.errno is None:
-                    telemetry.record_handle_queue(entry.handle.proc.pid, 1,
-                                                  n=n)
-            else:
-                if entry.any_executed:
-                    telemetry.record_handle_queue(entry.handle.proc.pid,
-                                                  entry.depth, n=n)
-                telemetry.record_batch(session.session_id, entry.depth,
-                                       span_us, n=n)
+        span_us = entry.trace.total_cycles / self.kernel.machine.spec.mhz
+        if self.telemetry.enabled:
+            self._observe_span(entry, session, span_us, n)
         tracer = self.tracer
         if tracer.enabled:
             # one synthesized span stands in for the whole window, so a
             # traced fast-forward run records O(windows) spans, not O(n)
-            tracer.aggregate(
-                "dispatch.call" if entry.batch_plan is None
-                else "dispatch.batch",
-                span_us=entry.trace.total_cycles / machine.spec.mhz, n=n,
-                client_id=session.client.pid,
-                session_id=session.session_id)
+            tracer.aggregate(SPAN_KINDS[entry.depth > 1], span_us=span_us,
+                             n=n, client_id=session.client.pid,
+                             session_id=session.session_id)
+
+    # -------------------------------------------------------------- trace keys
+    def flush_config(self, config: DispatchConfig,
+                     n: int) -> DispatchConfig:
+        """The config under which :meth:`call_batch` flushes a queue of
+        ``n`` calls as one chunk: ``config`` itself when its
+        ``batch_size`` already covers ``n``, else a memoized copy widened
+        to ``n``."""
+        if config.batch_size >= n:
+            return config
+        wide = self._flush_configs.get((config, n))
+        if wide is None:
+            wide = self._flush_configs[(config, n)] = replace(
+                config, batch_size=n)
+        return wide
+
+    def trace_key(self, session: Session, names: Sequence[str],
+                  config: DispatchConfig) -> Tuple:
+        """The trace-cache key of one flush of the calls ``names`` under
+        ``config`` (widened by :meth:`flush_config`):
+        ``(session_id, sorted (m_id, func_id) pairs, config)``.  Every name
+        must resolve in ``session``."""
+        pairs = []
+        for name in names:
+            module, function = session.find_function(name)
+            pairs.append((module.m_id, function.func_id))
+        return self._key(session, pairs,
+                         self.flush_config(config, len(names)))
+
+    @staticmethod
+    def _key(session: Session, pairs: List[Tuple[int, int]],
+             config: DispatchConfig) -> Tuple:
+        # sorted: every permutation of one multiset of calls shares a trace
+        # — the per-entry charges and state deltas are permutation-invariant
+        # sums, and outcomes replay by pair, not position
+        pairs.sort()
+        return (session.session_id, tuple(pairs), config)
 
     # -------------------------------------------------------------- kernel path
-    def sys_smod_call(self, client: Proc, session: Session,
-                      frame: StubCallFrame, m_id: int, func_id: int, *,
-                      config: DispatchConfig = DispatchConfig()) -> DispatchOutcome:
-        """The kernel half of a protected call (already inside the trap)."""
-        machine = self.kernel.machine
+    def _prefetch(self, session: Session, frames,
+                  config: DispatchConfig) -> Dict[Tuple[int, int], object]:
+        """Batch-aware decision prefetch for a queue of more than one call.
 
-        # -- validate the session and locate the function ---------------------
-        machine.charge(costs.SMOD_SESSION_LOOKUP)
-        if session is None or not session.established or session.torn_down:
-            self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.EINVAL)
-        if session.client is not client:
-            # the handle is bound to p and only p (paper question 2)
-            self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.EPERM)
-        module = session.modules.get(m_id)
-        if module is None:
-            self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.ENOENT)
-        function = session.handle.lookup_function(m_id, func_id)
-        if function is None:
-            self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.ENOENT)
+        One epoch check (one SMOD_POLICY_CACHE_HIT charge) validates every
+        memoized static decision the queue needs, instead of one check per
+        entry; entries the prefetch cannot answer take the per-entry path.
+        """
+        if not (config.per_call_policy_check and config.use_decision_cache):
+            return {}
+        keys = []
+        for frame in frames:
+            module = session.modules.get(frame.module_id)
+            if module is not None and policy_is_cacheable(
+                    module.definition.policy):
+                keys.append((frame.module_id, frame.func_id))
+        if not keys:
+            return {}
+        prefetched = self.decision_cache.lookup_batch(session, keys)
+        if prefetched:
+            self.kernel.machine.charge(costs.SMOD_POLICY_CACHE_HIT)
+        return prefetched
 
-        # -- per-call credential/policy check ---------------------------------
-        machine.charge(costs.SMOD_CRED_CHECK)
-        if config.per_call_policy_check:
-            allowed, reason = self._policy_check_cached(session, module,
-                                                        function, config)
-            if not allowed:
-                self.calls_denied += 1
-                machine.trace.emit("smod.call", "policy_denied",
-                                   pid=client.pid, detail_reason=reason)
-                return DispatchOutcome(errno=Errno.EACCES)
+    def sys_smod_call(self, client: Proc, session: Optional[Session],
+                      queue: BatchCallFrame, *,
+                      config: DispatchConfig = DispatchConfig()
+                      ) -> BatchOutcome:
+        """The kernel half of a flush, already inside the trap (the
+        ``smod_call`` and ``smod_call_batch`` traps both land here).
 
-        self._apply_hardening(session, config.hardening)
-        # Everything between apply and undo can raise (the msg/sched plumbing,
-        # the handle's receive_call); without the finally a SUSPEND_CLIENT-
-        # hardened client would stay in Scheduler._suspended forever.
-        try:
-            # -- marshalling ---------------------------------------------------
-            if config.marshalling is MarshallingMode.EXPLICIT_COPY:
-                # Arguments must be copied into a transfer buffer and back out:
-                # the cost the shared-VM design avoids.  (Pointer-rich calls
-                # such as malloc simply cannot work in this mode; the caller
-                # asserts that separately in the marshalling ablation.)
-                machine.charge_words(costs.COPY_WORD, function.arg_words * 2)
-                machine.charge(costs.KMALLOC)
-
-            # -- notify the handle and switch to it ----------------------------
-            request = Message(mtype=1,
-                              payload=(m_id, func_id, frame.return_address))
-            self.kernel.msg.msgsnd(client, session.request_msqid, request)
-            self.kernel.sched.switch_to(session.handle.proc)
-            received = self.kernel.msg.msgrcv(session.handle.proc,
-                                              session.request_msqid, 1)
-            if received is None:
-                raise SimulationError("handle woke without a queued request")
-
-            # -- the handle executes the function on the shared stack ----------
-            env = CallEnvironment(kernel=self.kernel, session=session,
-                                  client=client, handle=session.handle.proc)
-            result = session.handle.receive_call(
-                session.shared_stack, frame, function, env,
-                record_checkpoints=config.record_checkpoints)
-
-            # -- reply and switch back -----------------------------------------
-            reply = Message(mtype=2, payload=(1,))
-            self.kernel.msg.msgsnd(session.handle.proc, session.reply_msqid,
-                                   reply)
-            self.kernel.sched.switch_to(client)
-            self.kernel.msg.msgrcv(client, session.reply_msqid, 2)
-            self.kernel.copyout(1)           # the return value
-
-            if config.marshalling is MarshallingMode.EXPLICIT_COPY:
-                machine.charge(costs.KFREE)
-        finally:
-            self._undo_hardening(session, config.hardening)
-        session.note_call(module)
-        self.calls_dispatched += 1
-        return DispatchOutcome(value=result, frame=frame)
-
-    def sys_smod_call_batch(self, client: Proc, session: Session,
-                            batch: BatchCallFrame, *,
-                            config: DispatchConfig = DispatchConfig()
-                            ) -> BatchOutcome:
-        """The kernel half of a batched flush (``sys_smod_call_batch``).
-
-        Validates the session **once**, walks the queue running the (cached)
-        policy check per entry, applies the §4.4 hardening **once**, and pays
-        one request ``msgsnd`` + one switch-to-handle + one reply + one
-        switch-back for the whole queue.  Per-entry validation failures mark
-        that entry denied and keep going; the handle unwinds denied frames
-        while draining the super-frame.
+        Validates the session **once**, runs the (cached) policy check per
+        entry, applies the §4.4 hardening **once**, and pays one request
+        ``msgsnd`` + one switch-to-handle + one reply + one switch-back for
+        the whole queue.  A per-entry failure marks that entry denied and
+        the rest go on; the handle unwinds denied frames while draining.
+        When no entry is allowed nothing is sent at all: the client stub
+        unwinds every frame once the trap returns, as it does for a denied
+        single call.
         """
         machine = self.kernel.machine
-        n = len(batch.frames)
-
-        # -- validate the session once ----------------------------------------
+        frames = queue.frames
         machine.charge(costs.SMOD_SESSION_LOOKUP)
-        machine.charge(costs.SMOD_BATCH_SETUP)
+        if queue.batched:
+            machine.charge(costs.SMOD_BATCH_SETUP)
         if session is None or not session.established or session.torn_down:
-            self.calls_denied += n
+            self.calls_denied += len(frames)
             return BatchOutcome(errno=Errno.EINVAL)
         if session.client is not client:
-            self.calls_denied += n
+            # the handle is bound to p and only p (paper question 2)
+            self.calls_denied += len(frames)
             return BatchOutcome(errno=Errno.EPERM)
+        prefetched = (self._prefetch(session, frames, config)
+                      if queue.batched else None)
 
-        # -- batch-aware decision prefetch --------------------------------------
-        # One epoch check (one SMOD_POLICY_CACHE_HIT charge) validates every
-        # memoized static decision the queue needs, instead of N per-entry
-        # checks; entries the prefetch cannot answer fall back to the
-        # ordinary per-entry path below.
-        prefetched: Dict[Tuple[int, int], object] = {}
-        if config.per_call_policy_check and config.use_decision_cache:
-            keys = []
-            for frame in batch.frames:
-                module = session.modules.get(frame.module_id)
-                if module is None or not policy_is_cacheable(
-                        module.definition.policy):
-                    continue
-                keys.append((frame.module_id, frame.func_id))
-            if keys:
-                prefetched = self.decision_cache.lookup_batch(session, keys)
-                if prefetched:
-                    machine.charge(costs.SMOD_POLICY_CACHE_HIT)
-
-        # -- per-entry lookup + credential/policy check -------------------------
-        outcomes: List[Optional[DispatchOutcome]] = [None] * n
-        #: per entry: (function, allowed) — the handle's drain plan
-        plan: List[Tuple[Optional[SecFunction], bool]] = []
-        entry_modules: List[Optional[RegisteredModule]] = []
-        #: calls already granted in this queue, per module: the whole batch
+        outcomes: List[Optional[DispatchOutcome]] = [None] * len(frames)
+        #: per entry: the function the handle runs, None to unwind the frame
+        plan: List[Optional[SecFunction]] = [None] * len(frames)
+        #: calls already granted in this queue, per module: the whole queue
         #: is validated before any entry runs, so quota/count clauses must
         #: see each entry against the count including its predecessors
         pending: Dict[int, int] = {}
-        for index, frame in enumerate(batch.frames):
-            machine.charge(costs.SMOD_BATCH_ENTRY)
+        for index, frame in enumerate(frames):
+            if queue.batched:
+                machine.charge(costs.SMOD_BATCH_ENTRY)
             module = session.modules.get(frame.module_id)
             function = (session.handle.lookup_function(
                 frame.module_id, frame.func_id) if module is not None else None)
-            if module is None or function is None:
+            if function is None:
                 self.calls_denied += 1
                 outcomes[index] = DispatchOutcome(errno=Errno.ENOENT,
                                                   frame=frame)
-                plan.append((None, False))
-                entry_modules.append(None)
                 continue
             machine.charge(costs.SMOD_CRED_CHECK)
             if config.per_call_policy_check:
-                decision = prefetched.get((frame.module_id, frame.func_id))
+                decision = (prefetched.get((frame.module_id, frame.func_id))
+                            if prefetched else None)
                 if decision is not None:
-                    # already validated by the batch epoch check: no
+                    # already validated by the queue's epoch check: no
                     # per-entry charge
                     self.decision_cache.note_batch_served()
                     allowed, reason = decision.allowed, decision.reason
@@ -977,49 +912,49 @@ class SmodDispatcher:
                                        pid=client.pid, detail_reason=reason)
                     outcomes[index] = DispatchOutcome(errno=Errno.EACCES,
                                                       frame=frame)
-                    plan.append((None, False))
-                    entry_modules.append(None)
                     continue
             pending[frame.module_id] = pending.get(frame.module_id, 0) + 1
-            plan.append((function, True))
-            entry_modules.append(module)
-
-        if not any(allowed for _, allowed in plan):
-            # nothing to execute: skip hardening, the message round trip and
-            # both context switches — a fully-denied queue costs what the
-            # single path charges denied calls, the unwind.  Frames are
-            # popped topmost (first submission) first.
-            for frame in batch.frames:
-                unwind_client_frame(session.shared_stack, frame)
-            return BatchOutcome(outcomes=list(outcomes))
+            plan[index] = function
+        if not pending:
+            # nothing to run: no hardening, no message round trip, no switch
+            return BatchOutcome(outcomes=outcomes)
 
         self._apply_hardening(session, config.hardening)
+        # Everything between apply and undo can raise (the msg/sched plumbing,
+        # the handle's receive); without the finally a SUSPEND_CLIENT-hardened
+        # client would stay in Scheduler._suspended forever.
         try:
-            # -- marshalling (per allowed entry, one transfer buffer) -----------
             if config.marshalling is MarshallingMode.EXPLICIT_COPY:
-                for function, allowed in plan:
-                    if allowed:
+                # Arguments must be copied into a transfer buffer and back out:
+                # the cost the shared-VM design avoids.  (Pointer-rich calls
+                # such as malloc simply cannot work in this mode; the caller
+                # asserts that separately in the marshalling ablation.)
+                for function in plan:
+                    if function is not None:
                         machine.charge_words(costs.COPY_WORD,
                                              function.arg_words * 2)
                 machine.charge(costs.KMALLOC)
 
-            # -- one send, one switch, one drain, one reply, one switch back ----
-            request = Message.batched(1, [
-                (frame.module_id, frame.func_id, frame.return_address)
-                for frame in batch.frames])
+            # -- notify the handle and switch to it ----------------------------
+            words: List[int] = []
+            for frame in frames:
+                words += (frame.module_id, frame.func_id, frame.return_address)
+            request = Message(mtype=1, payload=tuple(words))
             self.kernel.msg.msgsnd(client, session.request_msqid, request)
             self.kernel.sched.switch_to(session.handle.proc)
-            received = self.kernel.msg.msgrcv(session.handle.proc,
-                                              session.request_msqid, 1)
-            if received is None:
-                raise SimulationError("handle woke without a queued batch")
+            if self.kernel.msg.msgrcv(session.handle.proc,
+                                      session.request_msqid, 1) is None:
+                raise SimulationError("handle woke without a queued request")
 
+            # -- the handle executes the functions on the shared stack ---------
             env = CallEnvironment(kernel=self.kernel, session=session,
                                   client=client, handle=session.handle.proc)
-            results = session.handle.receive_batch(
-                session.shared_stack, batch, plan, env)
+            results = session.handle.receive(
+                session.shared_stack, queue, plan, env,
+                record_checkpoints=config.record_checkpoints)
 
-            reply = Message.batched(2, [(1,) for _ in results])
+            # -- reply and switch back -----------------------------------------
+            reply = Message(mtype=2, payload=(1,) * len(results))
             self.kernel.msg.msgsnd(session.handle.proc, session.reply_msqid,
                                    reply)
             self.kernel.sched.switch_to(client)
@@ -1032,98 +967,25 @@ class SmodDispatcher:
             self._undo_hardening(session, config.hardening)
 
         for index, value in results.items():
-            outcomes[index] = DispatchOutcome(value=value,
-                                              frame=batch.frames[index])
-            session.note_call(entry_modules[index])
+            frame = frames[index]
+            outcomes[index] = DispatchOutcome(value=value, frame=frame)
+            session.note_call(session.modules[frame.module_id])
             self.calls_dispatched += 1
-        return BatchOutcome(outcomes=list(outcomes))
+        return BatchOutcome(outcomes=outcomes)
 
     # ---------------------------------------------------------------- user path
     def call(self, session: Session, function_name: str, *args: Any,
-             config: DispatchConfig = DispatchConfig(),
-             admitted: bool = False) -> DispatchOutcome:
-        """The full user-visible call: client stub + trap + kernel path + unwind.
+             config: DispatchConfig = DispatchConfig()) -> DispatchOutcome:
+        """The full user-visible call: the queue of one.
 
-        This is what the SecModule-converted libc's wrappers boil down to and
-        what the Figure 8 benchmark loops over.  In steady state (an
-        already-confirmed trace whose preconditions still hold) the whole
-        sequence is replayed as one aggregated clock charge; the first two
-        executions of a key, and anything the trace cache cannot prove
-        repeatable, run op by op below.
-
-        ``admitted=True`` marks a call whose admission decision already
-        ran upstream (a batch flush delegating its chunk-of-1); everything
-        else pays the token-bucket check when admission control is on.
+        This is what the SecModule-converted libc's wrappers boil down to
+        and what the Figure 8 benchmark loops over.  With admission control
+        on, the call first pays one token-bucket check.
         """
-        if not admitted and not self._admit(session, 1):
+        if not self._admit(session, 1):
             return DispatchOutcome(errno=Errno.EAGAIN)
-        found = session.find_function(function_name)
-        if found is None:
-            return DispatchOutcome(errno=Errno.ENOENT)
-        module, function = found
-
-        machine = self.kernel.machine
-        tracer = self.tracer
-        span = (tracer.start("dispatch.call", client_id=session.client.pid,
-                             session_id=session.session_id)
-                if tracer.enabled else None)
-        key = None
-        if self._traceable(session, function, module, config, machine):
-            key = (session.session_id, (module.m_id, function.func_id),
-                   config)
-            entry = self.trace_cache.lookup(key)
-            if entry is not None:
-                if entry.state == TRACE_HOT \
-                        and self._trace_guard_ok(entry, session):
-                    outcome = self._replay_single(entry, session, module,
-                                                  function, args)
-                    if outcome is not None:
-                        if span is not None:
-                            tracer.finish(span, tier=TIER_REPLAY)
-                        return outcome
-                elif entry.state == TRACE_POISONED:
-                    key = None        # recording this key again is pure waste
-
-        recording = (self._begin_trace_recording(session)
-                     if key is not None else None)
-        telemetry = self.telemetry
-        watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
-        try:
-            machine.charge(costs.USER_CALL_OVERHEAD)
-            stub = ClientStub(function_name, module.m_id, function.func_id,
-                              arg_words=function.arg_words)
-            frame = stub.push_call(
-                session.shared_stack, args,
-                record_checkpoints=config.record_checkpoints)
-            # the stub records the session the frame belongs to, so a shared
-            # (pooled) handle can route it to the right secret-stack segment
-            frame.session_id = session.session_id
-
-            result = self.kernel.syscall(
-                session.client, "smod_call", frame, module.m_id,
-                function.func_id, config)
-            if result.failed:
-                # unwind the stub frame exactly as the error return path would
-                self._unwind_failed_call(session, frame)
-                outcome = DispatchOutcome(errno=result.errno, frame=frame)
-            else:
-                stub.pop_return(session.shared_stack, frame)
-                outcome = DispatchOutcome(value=result.value, frame=frame)
-        except BaseException:
-            if recording is not None:
-                self._abort_trace_recording(recording)
-            raise
-        if recording is not None:
-            self._finish_trace_recording(recording, key, session,
-                                         (module.m_id,), config=config,
-                                         errno=outcome.errno, module=module)
-        if watch is not None:
-            telemetry.record_dispatch(session.session_id, module.name,
-                                      watch.elapsed_us())
-        if span is not None:
-            tracer.finish(span, tier=TIER_OP_BY_OP)
-        return outcome
+        return self._dispatch(session, ((function_name, args),),
+                              config).outcomes[0]
 
     def call_batch(self, session: Session,
                    calls: Sequence[Tuple[str, Tuple[Any, ...]]], *,
@@ -1132,10 +994,9 @@ class SmodDispatcher:
 
         The queue is flushed in chunks of at most ``config.batch_size``
         entries; each chunk pays one trap and one context-switch pair.  A
-        chunk of one flushes on the ordinary single-call path — no
-        super-frame bookkeeping — so ``batch_size=1`` is cycle-identical to
-        issuing the calls one at a time.  An empty queue flushes nothing and
-        charges nothing.
+        chunk of one is a single call, so ``batch_size=1`` is
+        cycle-identical to issuing the calls one at a time.  An empty queue
+        flushes nothing and charges nothing.
 
         Admission control charges one token per queued call, decided in a
         single bucket check up front: a queue that does not fit is refused
@@ -1146,16 +1007,17 @@ class SmodDispatcher:
         if not self._admit(session, len(calls)):
             return BatchOutcome(errno=Errno.EAGAIN, outcomes=[
                 DispatchOutcome(errno=Errno.EAGAIN) for _ in calls])
-        chunk = max(1, config.batch_size)
+        chunk = config.batch_size
         merged = BatchOutcome()
         for start in range(0, len(calls), chunk):
-            flushed = self._flush_batch(session, calls[start:start + chunk],
-                                        config)
+            flushed = self._dispatch(session, calls[start:start + chunk],
+                                     config)
             merged.outcomes.extend(flushed.outcomes)
-            if flushed.errno is not None:
+            if flushed.errno is not None and chunk > 1:
                 # whole-queue rejection means the session is dead for this
                 # client; don't burn a trap + push + unwind per remaining
-                # chunk — fail the rest of the queue in place
+                # chunk — fail the rest of the queue in place (chunks of one
+                # are single calls, each failing on its own)
                 merged.errno = flushed.errno
                 merged.outcomes.extend(
                     DispatchOutcome(errno=flushed.errno)
@@ -1163,137 +1025,118 @@ class SmodDispatcher:
                 break
         return merged
 
-    def _flush_batch(self, session: Session,
-                     calls: Sequence[Tuple[str, Tuple[Any, ...]]],
-                     config: DispatchConfig) -> BatchOutcome:
-        """Flush one bounded chunk of the call queue through a single trap."""
-        if len(calls) == 1:
-            name, args = calls[0]
-            return BatchOutcome(outcomes=[
-                self.call(session, name, *args, config=config,
-                          admitted=True)])
+    def _dispatch(self, session: Session, calls,
+                  config: DispatchConfig) -> BatchOutcome:
+        """The one protected-call path: flush ``n >= 1`` calls in one trap.
 
-        machine = self.kernel.machine
+        In steady state (a confirmed trace whose preconditions still hold)
+        the whole flush replays as one aggregated clock charge; the first
+        two executions of a key, and anything the trace cache cannot prove
+        repeatable, run op by op in :meth:`_run`.
+        """
+        n = len(calls)
+        found_list = [session.find_function(name) for name, _ in calls]
+        if n == 1 and found_list[0] is None:
+            # an unknown single call fails in the stub: nothing is charged
+            return BatchOutcome(outcomes=[DispatchOutcome(errno=Errno.ENOENT)])
         tracer = self.tracer
-        span = (tracer.start("dispatch.batch", client_id=session.client.pid,
+        span = (tracer.start(SPAN_KINDS[n > 1], client_id=session.client.pid,
                              session_id=session.session_id)
                 if tracer.enabled else None)
-        # resolve every name once: the trace-eligibility check, the stub
-        # build and the recorded batch plan all consume this list
-        found_list = [session.find_function(name) for name, _ in calls]
-        key = None
-        if all(found is not None for found in found_list) and all(
-                self._traceable(session, function, module, config, machine)
-                for module, function in found_list):
-            # canonical batch shape: *sorted* (m_id, func_id) pairs, so every
-            # permutation of the same multiset of entries shares one trace —
-            # the per-entry charges and state deltas are permutation-
-            # invariant sums, and outcomes replay by pair, not position
-            shape = tuple(sorted((module.m_id, function.func_id)
-                                 for module, function in found_list))
-            key = (session.session_id, shape, config)
-            entry = self.trace_cache.lookup(key)
-            if entry is not None:
-                if entry.state == TRACE_HOT \
-                        and self._trace_guard_ok(entry, session):
-                    replayed = self._replay_batch(entry, session, calls,
-                                                  found_list)
-                    if replayed is not None:
-                        if span is not None:
-                            tracer.finish(span, tier=TIER_REPLAY)
-                        return replayed
-                elif entry.state == TRACE_POISONED:
-                    key = None
+        tier = TIER_OP_BY_OP
+        try:
+            key = self._flush_key(session, found_list, config)
+            if key is not None:
+                entry = self.trace_cache.lookup(key)
+                if entry is not None:
+                    if entry.state == TRACE_HOT \
+                            and self._trace_guard_ok(entry, session):
+                        replayed = self._replay(entry, session, calls,
+                                                found_list)
+                        if replayed is not None:
+                            tier = TIER_REPLAY
+                            return replayed
+                    elif entry.state == TRACE_POISONED:
+                        key = None    # recording this key again is pure waste
+            return self._run(session, calls, found_list, config, key)
+        finally:
+            # on every exit, a raising one included: a span left open would
+            # become the causal parent of every later span
+            if span is not None:
+                tracer.finish(span, tier=tier)
 
+    def _run(self, session: Session, calls, found_list,
+             config: DispatchConfig, key: Optional[Tuple]) -> BatchOutcome:
+        """The op-by-op flush: client stub, trap, kernel path and unwind,
+        recorded into the trace cache under ``key`` when one is given."""
+        machine = self.kernel.machine
+        n = len(calls)
         recording = (self._begin_trace_recording(session)
                      if key is not None else None)
-        telemetry = self.telemetry
         watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
+                 if self.telemetry.enabled else None)
+        stack = session.shared_stack
         try:
             machine.charge(costs.USER_CALL_OVERHEAD)  # one flush, not per call
-            outcomes: List[Optional[DispatchOutcome]] = [None] * len(calls)
-            batch_stub = BatchStub()
-            pushed: List[int] = []
-            for index, ((name, args), found) in enumerate(zip(calls,
-                                                              found_list)):
+            stub = BatchStub()
+            #: entries whose name did not resolve: they never reach the stack
+            #: or the kernel
+            unknown: List[int] = []
+            for index, found in enumerate(found_list):
                 if found is None:
-                    # never reaches the stack or the kernel, exactly like the
-                    # single path's pre-trap ENOENT
-                    outcomes[index] = DispatchOutcome(errno=Errno.ENOENT)
+                    unknown.append(index)
                     continue
                 module, function = found
-                batch_stub.enqueue(
-                    ClientStub(name, module.m_id, function.func_id,
-                               arg_words=function.arg_words), args)
-                pushed.append(index)
-            if not len(batch_stub):
+                name, args = calls[index]
+                stub.enqueue(ClientStub(name, module.m_id, function.func_id,
+                                        arg_words=function.arg_words), args)
+            if len(unknown) == n:
                 if recording is not None:
                     self._abort_trace_recording(recording)
-                if span is not None:
-                    tracer.finish(span, tier=TIER_OP_BY_OP)
-                return BatchOutcome(outcomes=list(outcomes))
+                return BatchOutcome(outcomes=[
+                    DispatchOutcome(errno=Errno.ENOENT) for _ in calls])
 
-            batch = batch_stub.push_batch(
-                session.shared_stack,
+            queue = stub.push_batch(
+                stack, batched=n > 1, session_id=session.session_id,
                 record_checkpoints=config.record_checkpoints)
-            batch.session_id = session.session_id
-            for frame in batch.frames:
-                frame.session_id = session.session_id
-            result = self.kernel.syscall(session.client, "smod_call_batch",
-                                         batch, config)
-            if result.failed:
-                # whole-queue rejection: nothing executed, nothing drained —
-                # the client stub unwinds every frame itself, topmost
-                # (frames[0]) first
-                for frame in batch.frames:
-                    self._unwind_failed_call(session, frame)
-                for index, frame in zip(pushed, batch.frames):
-                    outcomes[index] = DispatchOutcome(errno=result.errno,
-                                                      frame=frame)
-                if recording is not None:
-                    # a dead/foreign session is not a steady state to memoize
-                    self._abort_trace_recording(recording)
-                    recording = None
-                if watch is not None:
-                    telemetry.record_batch(session.session_id,
-                                           len(batch.frames),
-                                           watch.elapsed_us())
-                if span is not None:
-                    tracer.finish(span, tier=TIER_OP_BY_OP)
-                return BatchOutcome(outcomes=list(outcomes),
-                                    errno=result.errno)
-
-            for index, outcome in zip(pushed, result.value.outcomes):
-                outcomes[index] = outcome
+            result = self.kernel.syscall(
+                session.client,
+                "smod_call_batch" if queue.batched else "smod_call",
+                queue, config)
+            frames = queue.frames
+            flushed = result.value if not result.failed else BatchOutcome(
+                outcomes=[DispatchOutcome(errno=result.errno, frame=frame)
+                          for frame in frames], errno=result.errno)
+            for outcome in flushed.outcomes:
+                if outcome.errno is None:
+                    break
+            else:
+                # no frame reached the handle (a whole-queue rejection or
+                # every entry denied): the client stub unwinds them all,
+                # topmost (first submission) first
+                for frame in frames:
+                    unwind_client_frame(stack, frame)
+            if not queue.batched and flushed.outcomes[0].errno is None:
+                # a single call's restored frame is the client stub's to pop
+                ClientStub.pop_return(stack, frames[0])
+            for index in unknown:
+                flushed.outcomes.insert(index,
+                                        DispatchOutcome(errno=Errno.ENOENT))
         except BaseException:
             if recording is not None:
                 self._abort_trace_recording(recording)
             raise
         if recording is not None:
-            batch_plan = tuple(
-                (module, function, outcome.errno)
-                for (module, function), outcome in zip(found_list, outcomes))
-            self._finish_trace_recording(
-                recording, key, session,
-                tuple(module.m_id for module, _ in found_list),
-                config=config, batch_plan=batch_plan,
-                any_executed=any(o.errno is None for o in outcomes),
-                depth=len(calls))
+            if result.failed:
+                # a dead/foreign session is not a steady state to memoize
+                self._abort_trace_recording(recording)
+            else:
+                self._finish_trace_recording(recording, key, session,
+                                             found_list, flushed.outcomes,
+                                             config)
         if watch is not None:
-            telemetry.record_batch(session.session_id, len(pushed),
-                                   watch.elapsed_us())
-        if span is not None:
-            tracer.finish(span, tier=TIER_OP_BY_OP)
-        return BatchOutcome(outcomes=list(outcomes))
-
-    def _unwind_failed_call(self, session: Session,
-                            frame: StubCallFrame) -> None:
-        """Pop the step-2 frame the stub pushed before a denied call.
-
-        The op-for-op unwind lives in
-        :func:`~repro.secmodule.stubs.unwind_client_frame`, shared with the
-        handle's batch drain so a denied entry costs the same words whether
-        it was flushed alone or in a queue.
-        """
-        unwind_client_frame(session.shared_stack, frame)
+            # a single call's histogram is labelled with its module
+            self._observe_flush(session, n, len(frames),
+                                found_list[0][0] if n == 1 else None,
+                                watch.elapsed_us())
+        return flushed

@@ -7,10 +7,10 @@ it owns a small secret stack/heap the client cannot see; and it spends its
 life blocked on a message queue waiting for ``sys_smod_call`` relays.
 
 The :class:`Handle` object wraps the handle's kernel process together with
-that SecModule-specific state.  Its :meth:`receive_call` is the simulated
+that SecModule-specific state.  Its :meth:`receive` is the simulated
 ``smod_std_handle`` / ``smod_stub_receive`` pair: it runs on the secret
-stack, relays to the real function on the shared stack, and restores the
-frame before replying.
+stack, relays each queued call to the real function on the shared stack,
+and restores the frame before replying.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .stubs import (
     BatchCallFrame,
     SimStack,
     SlotKind,
-    StubCallFrame,
     smod_stub_receive,
     unwind_client_frame,
 )
@@ -194,75 +193,57 @@ class Handle:
             return None
         return loaded.module.definition.function_by_id(func_id)
 
-    def receive_call(self, shared_stack: SimStack, frame: StubCallFrame,
-                     function: SecFunction, env: CallEnvironment, *,
-                     record_checkpoints: bool = False) -> Any:
-        """Execute one relayed call (``smod_stub_receive`` on the secret stack)."""
-        if not self.ready:
-            raise SimulationError(
-                f"handle pid {self.proc.pid} received a call before the "
-                f"session handshake completed")
-        self._charge_routing()
-        telemetry = self.kernel.machine.telemetry
-        if telemetry.enabled:
-            # a single-call receive drains a queue of depth 1
-            telemetry.record_handle_queue(self.proc.pid, 1)
-        secret = self.secret_stack_for(getattr(frame, "session_id", None))
-        result = smod_stub_receive(shared_stack, frame, function, env,
-                                   secret_stack=secret,
-                                   record_checkpoints=record_checkpoints)
-        self.calls_served += 1
-        return result
+    def receive(self, shared_stack: SimStack, queue: BatchCallFrame,
+                plan: List[Optional[SecFunction]], env: CallEnvironment, *,
+                record_checkpoints: bool = False) -> Dict[int, Any]:
+        """Drain one relayed queue (``smod_stub_receive`` on the secret
+        stack, once per entry).
 
-    def receive_batch(self, shared_stack: SimStack, batch: BatchCallFrame,
-                      plan, env: CallEnvironment) -> Dict[int, Any]:
-        """Drain one super-frame: execute every allowed entry, unwind the rest.
-
-        ``plan`` is one ``(function, allowed)`` pair per entry of ``batch``
-        (submission order).  The stub pushed the queue newest-first, so the
-        topmost frame is the *first* submission and the drain executes the
-        queue in FIFO order; each allowed entry relays through the ordinary
-        :func:`smod_stub_receive` on the secret stack and its remains (args
-        + restored ret/fp) are then popped as stub fix-up work — in a batch
-        the client never revisits individual frames, so the handle, not the
-        client stub, leaves the stack clean.  Denied entries unwind with the
-        exact denied-call pops of the single path.
+        ``plan`` names, per frame of ``queue`` (submission order), the
+        function to run, or None for an entry the kernel denied.  The stub
+        pushed the queue newest-first, so the topmost frame is the *first*
+        submission and the drain executes the queue in FIFO order.  Denied
+        entries unwind with the exact denied-call pops of a single call.  In
+        a batched queue the client never revisits individual frames, so the
+        handle pops each executed frame's remains (args + restored ret/fp)
+        as stub fix-up work; a single call leaves them to the client stub.
 
         Returns ``{entry index: result}`` for the entries that executed.
         """
         if not self.ready:
             raise SimulationError(
-                f"handle pid {self.proc.pid} received a batch before the "
+                f"handle pid {self.proc.pid} received a call before the "
                 f"session handshake completed")
-        if len(plan) != len(batch.frames):
+        frames = queue.frames
+        if len(plan) != len(frames):
             raise SimulationError(
-                f"batch plan names {len(plan)} entries for "
-                f"{len(batch.frames)} frames")
+                f"queue plan names {len(plan)} entries for "
+                f"{len(frames)} frames")
         # one routing-table walk serves the whole queue (all entries of a
         # super-frame belong to one session)
         self._charge_routing()
         telemetry = self.kernel.machine.telemetry
         if telemetry.enabled:
-            telemetry.record_handle_queue(self.proc.pid, len(batch.frames))
-        secret = self.secret_stack_for(getattr(batch, "session_id", None))
+            telemetry.record_handle_queue(self.proc.pid, len(frames))
+        secret = self.secret_stack_for(queue.session_id)
         results: Dict[int, Any] = {}
-        for index in range(len(batch.frames)):
-            frame = batch.frames[index]
-            function, allowed = plan[index]
-            if not allowed or function is None:
+        for index, frame in enumerate(frames):
+            function = plan[index]
+            if function is None:
                 unwind_client_frame(shared_stack, frame)
                 continue
             results[index] = smod_stub_receive(
-                shared_stack, frame, function, env,
-                secret_stack=secret)
-            # drain the executed frame's remains: restored fp/ret, then args
-            shared_stack.pop(SlotKind.FRAME_POINTER,
-                             cost_op=costs.SMOD_STACK_FIXUP_WORD)
-            shared_stack.pop(SlotKind.RETURN_ADDRESS,
-                             cost_op=costs.SMOD_STACK_FIXUP_WORD)
-            for _ in frame.args:
-                shared_stack.pop(SlotKind.ARG,
+                shared_stack, frame, function, env, secret_stack=secret,
+                record_checkpoints=record_checkpoints)
+            if queue.batched:
+                # drain the executed frame's remains: restored fp/ret, args
+                shared_stack.pop(SlotKind.FRAME_POINTER,
                                  cost_op=costs.SMOD_STACK_FIXUP_WORD)
+                shared_stack.pop(SlotKind.RETURN_ADDRESS,
+                                 cost_op=costs.SMOD_STACK_FIXUP_WORD)
+                for _ in frame.args:
+                    shared_stack.pop(SlotKind.ARG,
+                                     cost_op=costs.SMOD_STACK_FIXUP_WORD)
             self.calls_served += 1
         return results
 

@@ -141,7 +141,7 @@ class SmodExtension:
                                  self._sys_smod_call, arg_words=4)
         # beyond Figure 4: the batched flush (framep, rtnaddr, queuep, count)
         kernel.syscalls.register(SYS_smod_call_batch, "smod_call_batch",
-                                 self._sys_smod_call_batch, arg_words=4)
+                                 self._sys_smod_call, arg_words=4)
         kernel.syscalls.register(SYS_smod_start_session, "smod_start_session",
                                  self._sys_smod_start_session, arg_words=1)
 
@@ -238,32 +238,22 @@ class SmodExtension:
         self.decision_cache.invalidate_module(m_id)
         return ok(0)
 
-    def _sys_smod_call(self, kernel, proc: Proc, frame, m_id: int,
-                       func_id: int,
-                       config: Optional[DispatchConfig] = None) -> SyscallResult:
-        session = self.sessions.session_for_call(proc, m_id, frame)
-        outcome = self.dispatcher.sys_smod_call(
-            proc, session, frame, m_id, func_id,
-            config=config or DispatchConfig())
-        if not outcome.ok:
-            return fail(outcome.errno)
-        return ok(outcome.value)
+    def _sys_smod_call(self, kernel, proc: Proc, queue,
+                       config: Optional[DispatchConfig] = None
+                       ) -> SyscallResult:
+        """Both protected-call traps: ``smod_call`` (a queue of one) and
+        ``smod_call_batch``.
 
-    def _sys_smod_call_batch(self, kernel, proc: Proc, batch,
-                             config: Optional[DispatchConfig] = None
-                             ) -> SyscallResult:
-        """One trap dispatching a whole queue of protected calls.
-
-        The super-frame's stack resolves which session serves the batch (all
-        entries of a queue belong to one session, like the single call's
-        ``framep``).  Per-entry failures ride inside the returned
+        The queue's stack resolves which session serves it (all entries of
+        a queue belong to one session, like the single call's ``framep``).
+        Per-entry failures ride inside the returned
         :class:`~repro.secmodule.dispatch.BatchOutcome`; only a whole-queue
         rejection surfaces as a syscall error.
         """
-        first_m_id = batch.frames[0].module_id if batch.frames else -1
-        session = self.sessions.session_for_call(proc, first_m_id, batch)
-        outcome = self.dispatcher.sys_smod_call_batch(
-            proc, session, batch, config=config or DispatchConfig())
+        first_m_id = queue.frames[0].module_id if queue.frames else -1
+        session = self.sessions.session_for_call(proc, first_m_id, queue)
+        outcome = self.dispatcher.sys_smod_call(
+            proc, session, queue, config=config or DispatchConfig())
         if outcome.errno is not None:
             return fail(outcome.errno)
         return ok(outcome)

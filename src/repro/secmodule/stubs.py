@@ -158,11 +158,13 @@ class ClientStub:
     def push_call(self, stack: SimStack, args: Sequence[Any], *,
                   return_address: int = 0x0804_8123,
                   frame_pointer: int = 0xCFBF_0000,
+                  session_id: Optional[int] = None,
                   record_checkpoints: bool = False) -> StubCallFrame:
         """Perform Figure 3 steps (1) and (2) on ``stack``."""
         frame = StubCallFrame(module_id=self.module_id, func_id=self.func_id,
                               args=tuple(args), return_address=return_address,
-                              frame_pointer=frame_pointer, stack=stack)
+                              frame_pointer=frame_pointer, stack=stack,
+                              session_id=session_id)
         # Step (1): the ordinary call left args (pushed right-to-left), the
         # return address, and the saved frame pointer on the stack.
         for value in reversed(list(args)):
@@ -185,7 +187,8 @@ class ClientStub:
             frame.checkpoints["step2"] = stack.snapshot()
         return frame
 
-    def pop_return(self, stack: SimStack, frame: StubCallFrame) -> None:
+    @staticmethod
+    def pop_return(stack: SimStack, frame: StubCallFrame) -> None:
         """Unwind the original step (1) frame after the call returns."""
         stack.pop(SlotKind.FRAME_POINTER)
         stack.pop(SlotKind.RETURN_ADDRESS)
@@ -196,10 +199,11 @@ class ClientStub:
 def unwind_client_frame(stack: SimStack, frame: StubCallFrame) -> None:
     """Pop one full step-2 frame that will never (or did not) execute.
 
-    Used on two paths: the dispatcher's denied-call unwind and the handle's
-    drain of batch entries whose per-entry validation failed.  The whole
-    unwind is stub fix-up work, so every pop — the duplicated fp/ret pair,
-    the id pair, *and* the original frame — is charged at
+    Used on two paths: the client stub's unwind of a flush none of whose
+    entries reached the handle, and the handle's drain of entries whose
+    per-entry validation failed.  The whole unwind is stub fix-up work, so
+    every pop — the duplicated fp/ret pair, the id pair, *and* the original
+    frame — is charged at
     :data:`~repro.sim.costs.SMOD_STACK_FIXUP_WORD`, mirroring the push path
     above where the stub (not ordinary user code) put the extra words there.
     """
@@ -214,12 +218,13 @@ def unwind_client_frame(stack: SimStack, frame: StubCallFrame) -> None:
 
 @dataclass
 class BatchCallFrame:
-    """A super-frame: N complete stub frames pushed back to back.
+    """The queue one trap flushes: N >= 1 complete stub frames pushed back
+    to back (a single protected call is the queue of one).
 
     Each entry's frame is byte-for-byte the single-call step-2 layout, so
     the handle can relay every entry through the ordinary
     :func:`smod_stub_receive` and a failed entry unwinds with the ordinary
-    denied-call pops — the batch changes *when* the two context switches
+    denied-call pops — a queue changes *when* the two context switches
     happen, never the per-frame stack discipline.  The stub pushes the
     *last* queued call first, so the first submission ends up topmost and
     the handle's LIFO drain executes the queue in submission (FIFO) order.
@@ -233,57 +238,67 @@ class BatchCallFrame:
     #: the session the whole queue targets (a super-frame never spans
     #: sessions); shared handles route the drain with this
     session_id: Optional[int] = None
+    #: flushed through ``sys_smod_call_batch`` (the client queued more than
+    #: one call): the kernel charges the queue walk and the handle, not the
+    #: client stub, pops each executed frame's remains
+    batched: bool = True
 
     def __len__(self) -> int:
         return len(self.frames)
 
 
 class BatchStub:
-    """The client-side batching stub (``smod_stub_call_batch``).
+    """The client-side queueing stub (``smod_stub_call_batch``).
 
     Protected calls are queued in user space and flushed as one super-frame
-    through a single ``sys_smod_call_batch`` trap, amortizing the trap and
-    the two context switches over the whole queue.  Queueing is free at the
-    stub level (the args were going onto the stack anyway); the flush pushes
-    every queued frame with the ordinary single-call stack discipline.
+    through a single trap (``sys_smod_call_batch``, or ``sys_smod_call``
+    for a queue of one), amortizing the trap and the two context switches
+    over the whole queue.  Queueing is free at the stub level (the args
+    were going onto the stack anyway); the flush pushes every queued frame
+    with the ordinary single-call stack discipline.
     """
 
     def __init__(self) -> None:
         self.queue: List[Tuple[ClientStub, Tuple[Any, ...]]] = []
+        self._words = 0
 
     def enqueue(self, stub: ClientStub, args: Sequence[Any]) -> None:
-        self.queue.append((stub, tuple(args)))
+        args = tuple(args)
+        self.queue.append((stub, args))
+        self._words += len(args) + 6
 
     def __len__(self) -> int:
         return len(self.queue)
 
     def words_needed(self) -> int:
         """Stack words one flush will push: args + 6 stub words per frame."""
-        return sum(len(args) + 6 for _, args in self.queue)
+        return self._words
 
-    def push_batch(self, stack: SimStack, *,
+    def push_batch(self, stack: SimStack, *, batched: bool = True,
+                   session_id: Optional[int] = None,
                    record_checkpoints: bool = False) -> BatchCallFrame:
         """Flush the queue: push newest first, so the oldest call is topmost
-        and the handle's stack-ordered drain runs the queue FIFO.
+        and the handle's stack-ordered drain runs the queue FIFO.  Every
+        frame records ``session_id`` (a shared handle routes by it).
 
         The capacity check happens **before** the first push: a queue that
         cannot fit must fail cleanly rather than overflow halfway through
         and strand a partial super-frame on the shared stack.
         """
-        if stack.depth() + self.words_needed() > stack.capacity:
+        if stack.depth() + self._words > stack.capacity:
             raise SimulationError(
-                f"batch of {len(self.queue)} calls ({self.words_needed()} "
+                f"batch of {len(self.queue)} calls ({self._words} "
                 f"words) cannot fit on stack {stack.name!r} "
                 f"(depth {stack.depth()}/{stack.capacity}); flush a smaller "
                 f"queue")
-        batch = BatchCallFrame(stack=stack)
-        batch.frames = [None] * len(self.queue)
-        for index in range(len(self.queue) - 1, -1, -1):
-            stub, args = self.queue[index]
-            batch.frames[index] = stub.push_call(
-                stack, args, record_checkpoints=record_checkpoints)
+        frames = [stub.push_call(stack, args, session_id=session_id,
+                                 record_checkpoints=record_checkpoints)
+                  for stub, args in reversed(self.queue)]
+        frames.reverse()
         self.queue.clear()
-        return batch
+        self._words = 0
+        return BatchCallFrame(frames=frames, stack=stack,
+                              session_id=session_id, batched=batched)
 
 
 def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,

@@ -571,8 +571,6 @@ class TrafficEngine:
         #: (session_id, function name) -> the depth-1 trace key, so the
         #: depth-1 probe builds no key (see `_ff_key`)
         self._ff_keys: Dict[Tuple[int, str], Tuple] = {}
-        #: batch depth -> the DispatchConfig a flush of that depth uses
-        self._ff_configs: Dict[int, DispatchConfig] = {}
         self._mhz = float(self.machine.spec.mhz)
         # hot-loop caches: bound methods/objects resolved once (the run
         # loop touches these a few times per simulated call)
@@ -819,7 +817,7 @@ class TrafficEngine:
         scheduled time (see :meth:`_arrive`).
 
         With fast-forward on, the flush first offers itself to an open
-        window: it builds the trace key the dispatcher would build, and
+        window: it asks the dispatcher for the flush's trace key, and
         ``fast_forward_probe`` revalidates every replay guard *and*
         performs the span's decision-cache touches, so per-span cache
         state matches per-call replay exactly.  An admitted span is only
@@ -888,30 +886,15 @@ class TrafficEngine:
         queue = [self._draw_call(state, offset) for offset in range(count)]
         if not self._ff_enabled:
             return queue, None
-        config = self._ff_configs.get(count)
-        if config is None:
-            config = self._ff_configs[count] = self._depth_config(count)
-        shape = tuple(sorted(self._ff_key(session, name)[1]
-                             for name, _ in queue))
-        return queue, (session.session_id, shape, config)
+        return queue, self._dispatcher.trace_key(
+            session, [name for name, _ in queue], self.config)
 
     def _ff_key(self, session, name: str) -> Tuple:
         """The trace key the dispatcher files a single call of ``name``
-        under, ``(session_id, (m_id, func_id), config)``; memoized.  A
-        deeper flush's key is the sorted shape of its calls' pairs under
-        its depth's config."""
-        key = self._ff_keys.get((session.session_id, name))
-        if key is None:
-            module, function = session.find_function(name)
-            key = self._ff_keys[(session.session_id, name)] = \
-                (session.session_id, (module.m_id, function.func_id),
-                 self.config)
+        under (:meth:`SmodDispatcher.trace_key`), memoized per session."""
+        key = self._ff_keys[(session.session_id, name)] = \
+            self._dispatcher.trace_key(session, (name,), self.config)
         return key
-
-    def _depth_config(self, count: int) -> DispatchConfig:
-        """The DispatchConfig a flush of ``count`` calls dispatches under."""
-        return (self.config if self.config.batch_size >= count
-                else replace(self.config, batch_size=count))
 
     def _dispatch_queue_slow(self, state: ClientState, session,
                              queue: List[Tuple[str, Tuple]]) -> None:
@@ -932,7 +915,8 @@ class TrafficEngine:
             denied = 0 if outcome.ok else 1
         else:
             batch = self._dispatcher.call_batch(
-                session, queue, config=self._depth_config(count))
+                session, queue,
+                config=self._dispatcher.flush_config(self.config, count))
             denied = batch.denied
         service_us = self._clock.since(mark).microseconds(self._mhz)
         state.calls_issued += count

@@ -37,8 +37,8 @@ def warm_key(system, config=DispatchConfig()):
     for i in range(2):
         assert system.call("test_incr", i, config=config) == i + 1
     session = system.session
-    module, function = session.find_function("test_incr")
-    key = (session.session_id, (module.m_id, function.func_id), config)
+    key = system.extension.dispatcher.trace_key(session, ("test_incr",),
+                                                config)
     entry = system.extension.dispatcher.trace_cache.lookup(key)
     assert entry is not None and entry.state == TRACE_HOT
     return key, entry

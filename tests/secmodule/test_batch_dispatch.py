@@ -1,4 +1,4 @@
-"""Tests for the batched dispatch path (``sys_smod_call_batch``).
+"""Tests for queues of more than one call (``sys_smod_call_batch``).
 
 The batch contract: the session is validated once, the policy check runs
 per entry, the two context switches are paid once per flush, per-entry
@@ -8,6 +8,7 @@ the paper's single-call path.
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.kernel.errno import Errno
 from repro.secmodule.api import SecModuleSystem
 from repro.secmodule.dispatch import DispatchConfig, HardeningMode
@@ -173,7 +174,7 @@ class TestBatchEdgeCases:
         stub.enqueue(ClientStub("test_incr", module.m_id, function.func_id,
                                 arg_words=function.arg_words), (2,))
         batch = stub.push_batch(system_a.session.shared_stack)
-        outcome = system_a.extension.dispatcher.sys_smod_call_batch(
+        outcome = system_a.extension.dispatcher.sys_smod_call(
             system_b.client_proc, system_a.session, batch)
         assert outcome.errno is Errno.EPERM
 
@@ -183,23 +184,34 @@ class TestBatchEdgeCases:
         system = make_system()
         config = DispatchConfig(hardening=HardeningMode.SUSPEND_CLIENT,
                                 batch_size=4)
-        original = system.session.handle.receive_batch
+        original = system.session.handle.receive
 
         def exploding(*args, **kwargs):
             raise RuntimeError("handle crashed mid-batch")
 
-        system.session.handle.receive_batch = exploding
+        system.session.handle.receive = exploding
         with pytest.raises(RuntimeError):
             system.extension.dispatcher.call_batch(
                 system.session, incr_batch(4), config=config)
         assert not system.kernel.sched.is_suspended(system.client_proc)
         # restore and demonstrate the client can dispatch again
-        system.session.handle.receive_batch = original
+        system.session.handle.receive = original
         system.kernel.msg.msgrcv(system.session.handle.proc,
                                  system.session.request_msqid, 1)
         while system.session.shared_stack.depth():
             system.session.shared_stack.pop()
         assert system.call("test_incr", 1) == 2
+
+
+class TestBatchSizeValidation:
+    @pytest.mark.parametrize("size", [0, -3, 2.5, True, "4", None])
+    def test_rejects_a_non_int_or_non_positive_batch_size(self, size):
+        with pytest.raises(SimulationError, match="batch_size"):
+            DispatchConfig(batch_size=size)
+
+    @pytest.mark.parametrize("size", [1, 2, 64])
+    def test_accepts_a_positive_int(self, size):
+        assert DispatchConfig(batch_size=size).batch_size == size
 
 
 class TestBatchSizeOneParity:

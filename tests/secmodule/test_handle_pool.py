@@ -19,6 +19,7 @@ from repro.kernel.errno import Errno
 from repro.secmodule.api import SecModuleSystem
 from repro.secmodule.dispatch import DispatchConfig
 from repro.secmodule.handle_pool import HandlePolicy
+from repro.secmodule.stubs import BatchCallFrame
 from repro.sim import costs
 
 
@@ -215,11 +216,11 @@ class TestPooledLifecycle:
         # the session down and replay the frame through the raw syscall
         outcome = system.extension.dispatcher.call(victim, "test_incr", 1)
         frame = outcome.frame
-        module = next(iter(victim.modules.values()))
         system.extension.sessions.teardown(victim)
+        queue = BatchCallFrame(frames=[frame], stack=frame.stack,
+                               session_id=frame.session_id, batched=False)
         result = system.kernel.syscall(
-            victim.client, "smod_call", frame, module.m_id, 1,
-            DispatchConfig())
+            victim.client, "smod_call", queue, DispatchConfig())
         assert result.failed and result.errno is Errno.EINVAL
 
     def test_batch_through_pooled_handle_preserves_fifo_order(self):

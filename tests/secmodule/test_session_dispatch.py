@@ -221,13 +221,14 @@ class TestDispatch:
         found = system_a.session.find_function("test_incr")
         module, function = found
         stub_frame_stack = system_a.session.shared_stack
-        from repro.secmodule.stubs import ClientStub
+        from repro.secmodule.stubs import BatchCallFrame, ClientStub
         stub = ClientStub("test_incr", module.m_id, function.func_id)
         frame = stub.push_call(stub_frame_stack, (1,))
         # a different process presenting someone else's session
         outcome = system_a.extension.dispatcher.sys_smod_call(
-            system_b.client_proc, system_a.session, frame, module.m_id,
-            function.func_id)
+            system_b.client_proc, system_a.session,
+            BatchCallFrame(frames=[frame], stack=stub_frame_stack,
+                           batched=False))
         assert outcome.errno is Errno.EPERM
 
     def test_call_before_handshake_rejected(self):
@@ -328,21 +329,21 @@ class TestDispatchStateLeaks:
 
     def test_raising_handle_leaves_client_resumable(self, system):
         """A SUSPEND_CLIENT-hardened client must not stay suspended when the
-        handle's receive_call blows up mid-dispatch."""
+        handle's receive blows up mid-dispatch."""
         config = DispatchConfig(hardening=HardeningMode.SUSPEND_CLIENT)
-        original = system.session.handle.receive_call
+        original = system.session.handle.receive
 
         def exploding(*args, **kwargs):
             raise RuntimeError("handle crashed mid-call")
 
-        system.session.handle.receive_call = exploding
+        system.session.handle.receive = exploding
         with pytest.raises(RuntimeError):
             system.extension.dispatcher.sys_smod_call(
                 system.client_proc, system.session,
-                _push_frame(system), *_ids(system), config=config)
+                _push_queue(system), config=config)
         assert not system.kernel.sched.is_suspended(system.client_proc)
         # the client dispatches again once the handle behaves
-        system.session.handle.receive_call = original
+        system.session.handle.receive = original
         # drain the stale request left on the queue by the failed call
         system.kernel.msg.msgrcv(system.session.handle.proc,
                                  system.session.request_msqid, 1)
@@ -350,6 +351,56 @@ class TestDispatchStateLeaks:
         while system.session.shared_stack.depth():
             system.session.shared_stack.pop()
         assert system.call("test_incr", 1) == 2
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_raising_dispatch_closes_its_span(self, depth):
+        """A flush whose handle raises must not leak its span: left open it
+        would become the causal parent of every later span.  The books of
+        the traced run still equal the untraced run's."""
+        queue = [("test_incr", (i,)) for i in range(depth)]
+        config = DispatchConfig(batch_size=depth)
+
+        def run(traced):
+            system = SecModuleSystem.create(seed=57, include_libc=False)
+            tracer = system.extension.enable_tracing() if traced else None
+            dispatcher = system.extension.dispatcher
+
+            def flush():
+                if depth == 1:
+                    return dispatcher.call(system.session, "test_incr", 0,
+                                           config=config).ok
+                return dispatcher.call_batch(system.session, queue,
+                                             config=config).ok
+
+            original = system.session.handle.receive
+
+            def exploding(*args, **kwargs):
+                raise RuntimeError("handle crashed mid-flush")
+
+            system.session.handle.receive = exploding
+            with pytest.raises(RuntimeError):
+                flush()
+            system.session.handle.receive = original
+            if traced:
+                assert tracer.open_spans() == []
+            system.kernel.msg.msgrcv(system.session.handle.proc,
+                                     system.session.request_msqid, 1)
+            while system.session.shared_stack.depth():
+                system.session.shared_stack.pop()
+            assert flush()
+            machine = system.machine
+            books = (machine.clock.cycles, machine.clock.events,
+                     sorted(machine.meter.op_counts.items()))
+            return books, tracer
+
+        traced_books, tracer = run(True)
+        plain_books, _ = run(False)
+        assert traced_books == plain_books
+        kind = "dispatch.call" if depth == 1 else "dispatch.batch"
+        spans = tracer.spans()
+        assert [span.kind for span in spans] == [kind, kind]
+        assert [span.parent_id for span in spans] == [None, None]
+        assert tracer.open_spans() == []
 
     def test_denied_call_unwind_charged_uniformly(self):
         """The unwind pops every stub word at SMOD_STACK_FIXUP_WORD: 4 for
@@ -385,15 +436,12 @@ class TestDispatchStateLeaks:
         assert diff[costs.SMOD_STACK_FIXUP_WORD] == 11
 
 
-def _push_frame(system):
-    """Push a test_incr stub frame on the shared stack (step 1-2)."""
-    from repro.secmodule.stubs import ClientStub
+def _push_queue(system):
+    """Push a queue of one test_incr stub frame on the shared stack
+    (steps 1-2)."""
+    from repro.secmodule.stubs import BatchStub, ClientStub
     module, function = system.session.find_function("test_incr")
-    stub = ClientStub("test_incr", module.m_id, function.func_id,
-                      arg_words=function.arg_words)
-    return stub.push_call(system.session.shared_stack, (1,))
-
-
-def _ids(system):
-    module, function = system.session.find_function("test_incr")
-    return module.m_id, function.func_id
+    stub = BatchStub()
+    stub.enqueue(ClientStub("test_incr", module.m_id, function.func_id,
+                            arg_words=function.arg_words), (1,))
+    return stub.push_batch(system.session.shared_stack, batched=False)
