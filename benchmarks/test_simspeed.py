@@ -10,11 +10,12 @@ figure — because CI machines vary wildly in single-core speed.
 
 from __future__ import annotations
 
+from repro.bench.harness import run_experiment
 from repro.bench.simspeed import FAST_FORWARD, OP_BY_OP, REPLAY, run_simspeed
 
 
 def test_simspeed_small_run_is_byte_identical():
-    report = run_simspeed(calls=2_000, fast=False)
+    report = run_simspeed(calls=2_000)
     assert report.cycles_identical
     assert report.ops_identical
     assert report.workers_identical
@@ -29,7 +30,7 @@ def test_simspeed_small_run_is_byte_identical():
 
 
 def test_simspeed_all_three_tiers_present():
-    report = run_simspeed(calls=1_000, fast=False)
+    report = run_simspeed(calls=1_000)
     tiers = {leg.tier for leg in report.legs}
     assert tiers == {OP_BY_OP, REPLAY, FAST_FORWARD}
     # the identity block runs every tier at one common size
@@ -42,11 +43,11 @@ def test_simspeed_all_three_tiers_present():
 
 
 def test_simspeed_fast_tiers_are_faster():
-    report = run_simspeed(calls=4_000, fast=False)
+    report = run_simspeed(calls=4_000)
     # identity is the hard bar (speedup reports 0.0 on any mismatch); the
     # wall-clock ratios are only sanity-checked loosely here because
     # shared CI runners can stall any timed leg — the canonical >= 100x
-    # figure comes from the full-size `repro bench simspeed` run
+    # figure comes from the full-size `repro abl-simspeed` run
     assert report.identical
     assert report.speedup > 1.0
     assert report.replay_speedup > 1.0
@@ -54,12 +55,12 @@ def test_simspeed_fast_tiers_are_faster():
 
 
 def test_simspeed_fast_flag_caps_calls():
-    report = run_simspeed(calls=1_000_000, fast=True)
+    report = run_experiment("abl-simspeed", fast=True).result
     assert report.calls <= 4_000
 
 
 def test_simspeed_render_mentions_the_target():
-    report = run_simspeed(calls=1_000, fast=False)
+    report = run_simspeed(calls=1_000)
     text = report.render()
     assert "speedup" in text and "byte-identical" in text
     assert "sharded" in text

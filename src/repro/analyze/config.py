@@ -18,9 +18,6 @@ from typing import Dict, Mapping, Optional, Tuple
 #: rule with that prefix; an exact rule id ("COST002") covers just that rule.
 DEFAULT_ALLOWLIST: Dict[str, Dict[str, str]] = {
     "DET": {
-        "repro/cli.py":
-            "reports wall-clock duration of whole runs; never inside the "
-            "simulated cycle accounting",
         "repro/bench/harness.py":
             "wall_seconds export field times the harness itself, not the "
             "simulation",

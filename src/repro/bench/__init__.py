@@ -1,35 +1,5 @@
-"""Benchmark harness: regeneration of every table and figure of the paper."""
+"""Benchmark harness: regeneration of every table and figure of the paper.
 
-from .ablations import (
-    run_argument_size_ablation,
-    run_hardening_ablation,
-    run_machine_sensitivity,
-    run_marshalling_ablation,
-    run_protection_ablation,
-)
-from .figure7 import Figure7Report, reproduce_figure7
-from .figure8 import Figure8Row, Figure8Table, PAPER_RESULTS, reproduce_figure8
-from .figures123 import (
-    FIGURE1_EXPECTED_SEQUENCE,
-    Figure1Report,
-    Figure2Report,
-    Figure3Report,
-    reproduce_figure1,
-    reproduce_figure2,
-    reproduce_figure3,
-)
-from .harness import EXPERIMENTS, ExperimentRun, full_report, run_all, run_experiment
-from .report import format_ratio, format_us, render_table, section
-
-__all__ = [
-    "run_argument_size_ablation", "run_hardening_ablation",
-    "run_machine_sensitivity", "run_marshalling_ablation",
-    "run_protection_ablation",
-    "Figure7Report", "reproduce_figure7",
-    "Figure8Row", "Figure8Table", "PAPER_RESULTS", "reproduce_figure8",
-    "FIGURE1_EXPECTED_SEQUENCE", "Figure1Report", "Figure2Report",
-    "Figure3Report", "reproduce_figure1", "reproduce_figure2",
-    "reproduce_figure3",
-    "EXPERIMENTS", "ExperimentRun", "full_report", "run_all", "run_experiment",
-    "format_ratio", "format_us", "render_table", "section",
-]
+``experiments.EXPERIMENTS`` declares every experiment once; ``harness``
+runs and exports them, and ``diff`` is the regression gate over exports.
+"""

@@ -35,7 +35,33 @@ from ..workloads.microbench import (
     run_smod_function,
     run_smod_testincr,
 )
+from ..workloads.policies import run_keynote_policy, run_policy_chain_sweep
 from .report import render_table
+
+
+# ---------------------------------------------------------------------------
+# Policy complexity (§5)
+# ---------------------------------------------------------------------------
+
+class PolicySweepReport:
+    """Synthetic policy chains plus KeyNote, rendered as one table."""
+
+    def __init__(self, sweep, keynote) -> None:
+        self.sweep = sweep
+        self.keynote = keynote
+
+    def render(self) -> str:
+        rows = [[p.label, p.complexity, f"{p.mean_us_per_call:.3f}"]
+                for p in self.sweep.points + self.keynote.points]
+        text = render_table(
+            ["policy", "complexity", "microsec/CALL"], rows,
+            title="Policy complexity sweep (synthetic chains + KeyNote)")
+        return text + (f"\n\nper-clause cost (synthetic chain slope): "
+                       f"{self.sweep.per_clause_cost_us():.4f} us/clause")
+
+
+def run_policy_ablation() -> PolicySweepReport:
+    return PolicySweepReport(run_policy_chain_sweep(), run_keynote_policy())
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,3 @@ def run_adaptive_bench(*, depths: Sequence[int] = DEFAULT_DEPTHS,
         adaptive_max_depth=max_depth, seed=seed))
     report.mmpp_controller = mmpp.adaptive["per_client"][0]
     return report
-
-
-def run_abl_adaptive() -> AdaptiveReport:
-    """Harness entry point (the ``abl-adaptive`` experiment id)."""
-    return run_adaptive_bench()

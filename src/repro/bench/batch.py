@@ -149,6 +149,8 @@ def run_batch_sweep(*, sizes: Sequence[int] = DEFAULT_SIZES,
     """Measure the sweep: one fresh system per queue depth, same workload."""
     if not sizes or min(sizes) < 1:
         raise ValueError("batch sizes must be positive")
+    if calls < 1:
+        raise ValueError("batch sweep needs calls >= 1")
 
     # the single-call cross-check: a plain per-call loop, same warmup
     reference = _fresh_session(seed)
@@ -181,8 +183,3 @@ def run_batch_sweep(*, sizes: Sequence[int] = DEFAULT_SIZES,
             traps=meter.count(costs.TRAP_ENTRY) - traps_before,
         ))
     return report
-
-
-def run_abl_batch() -> BatchReport:
-    """Harness entry point (the ``abl-batch`` experiment id)."""
-    return run_batch_sweep()

@@ -20,9 +20,10 @@ tolerance-band check: a drop past ``WALL_TOLERANCE`` (10%) prints a
 non-fatal warning, so CI logs surface a simulator slowdown without the
 noise of gating on a shared runner's wall clock.
 
-CI keeps canonical baselines under ``benchmarks/baselines/`` and runs this
-gate against freshly regenerated exports, so a commit that silently makes
-dispatch more expensive fails its build.
+CI keeps canonical baselines under ``benchmarks/baselines/``; ``repro
+bench diff`` with no files reruns each from its recorded params and runs
+this gate on the result, so a commit that silently makes dispatch more
+expensive fails its build.
 """
 
 from __future__ import annotations
@@ -138,32 +139,6 @@ def _is_guarded(path: str) -> bool:
     return any(marker in lowered for marker in CYCLE_MARKERS)
 
 
-def _is_canonical_defaults(params) -> bool:
-    """True for the harness marker ``{"defaults": true}``.
-
-    ``run_experiment`` (the ``repro all`` / ``repro <experiment-id>``
-    spellings) always runs an experiment's canonical defaults and records
-    this marker instead of resolved values, so it is comparable with any
-    non-smoke export of the same experiment.
-    """
-    return params == {"defaults": True}
-
-
-def _params_compatible(old_params, new_params) -> bool:
-    """May these two runs be meaningfully compared?
-
-    Resolved parameter trees must match exactly.  The harness's canonical
-    ``{"defaults": true}`` marker is compatible with any run whose resolved
-    params do not carry a truthy ``fast`` flag — a smoke run against a
-    canonical baseline is still refused.
-    """
-    for mine, theirs in ((old_params, new_params),
-                         (new_params, old_params)):
-        if _is_canonical_defaults(mine):
-            return not (isinstance(theirs, dict) and theirs.get("fast"))
-    return to_text(old_params) == to_text(new_params)
-
-
 def compare_payloads(old: Dict, new: Dict, *,
                      old_path: str = "<old>", new_path: str = "<new>",
                      rel_tol: float = 0.0) -> BenchDiff:
@@ -177,7 +152,7 @@ def compare_payloads(old: Dict, new: Dict, *,
         raise BenchDiffError(
             f"cannot diff different experiments: "
             f"{old.get('experiment')!r} vs {new.get('experiment')!r}")
-    if not _params_compatible(old.get("params"), new.get("params")):
+    if to_text(old.get("params")) != to_text(new.get("params")):
         raise BenchDiffError(
             f"run parameters differ ({old.get('params')} vs "
             f"{new.get('params')}): comparing differently-sized runs is "

@@ -125,6 +125,9 @@ def reproduce_figure8(*, trials: Optional[int] = None,
     ``trials`` / ``sample_calls`` default to the paper's 10 trials with the
     standard sample size; tests pass smaller values to keep runtimes short.
     """
+    if (trials is not None and trials < 1) or \
+            (sample_calls is not None and sample_calls < 1):
+        raise ValueError("trials and sample_calls must be >= 1")
     def spec(key: str):
         return PAPER_SPECS[key].scaled(trials=trials, sample_calls=sample_calls)
 

@@ -1,16 +1,12 @@
-"""The experiment harness: every table and figure, one entry point each.
+"""Running and exporting experiments.
 
-``EXPERIMENTS`` maps experiment ids (as used in DESIGN.md's per-experiment
-index and EXPERIMENTS.md) to runner callables that return an object with a
-``render()`` method.  The CLI and the "regenerate everything" helper iterate
-over this table, so adding an experiment is one new entry here plus its
-benchmark file.
-
-The harness also exports every run machine-readably: ``run_experiment``
-with an ``export_dir`` (the CLI passes the working directory, i.e. the repo
-root) writes ``BENCH_<experiment id>.json`` next to the printed report, so
-the perf trajectory of a checkout is diffable across commits and CI can
-upload the files as build artifacts.
+``run_experiment`` resolves an experiment's params (``experiments.py``
+declares them), calls its runner and, given an ``export_dir`` (the CLI
+passes the working directory), writes ``BENCH_<experiment id>.json`` next
+to the printed report, so the perf trajectory of a checkout is diffable
+across commits and CI can upload the files as build artifacts.
+``regenerate`` reruns a committed baseline from its recorded params and
+diffs the result against it: the ``repro bench diff`` gate.
 """
 
 from __future__ import annotations
@@ -25,124 +21,32 @@ try:
     import resource
 except ImportError:                       # pragma: no cover - non-POSIX host
     resource = None  # type: ignore[assignment]
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..workloads.policies import run_keynote_policy, run_policy_chain_sweep
-from .ablations import (
-    run_argument_size_ablation,
-    run_hardening_ablation,
-    run_machine_sensitivity,
-    run_marshalling_ablation,
-    run_protection_ablation,
-)
-from .adaptive import run_abl_adaptive
-from .batch import run_abl_batch
-from .figure7 import reproduce_figure7
-from .overload import run_abl_overload
-from .pool import run_abl_pool
-from .serve import run_abl_serve
-from .simspeed import run_abl_simspeed
-from .figure8 import reproduce_figure8
-from .figures123 import reproduce_figure1, reproduce_figure2, reproduce_figure3
-from .report import render_table, section
-from .throughput import run_abl_throughput
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One regenerable experiment."""
-
-    experiment_id: str
-    title: str
-    runner: Callable[[], object]
-    kind: str = "figure"          # "figure" | "table" | "ablation"
-
-
-def _policy_sweep_report():
-    sweep = run_policy_chain_sweep()
-    keynote = run_keynote_policy()
-    rows = [[p.label, p.complexity, f"{p.mean_us_per_call:.3f}"]
-            for p in sweep.points + keynote.points]
-    text = render_table(["policy", "complexity", "microsec/CALL"], rows,
-                        title="Policy complexity sweep (synthetic chains + KeyNote)")
-    text += (f"\n\nper-clause cost (synthetic chain slope): "
-             f"{sweep.per_clause_cost_us():.4f} us/clause")
-
-    class _Report:
-        def __init__(self, rendered: str) -> None:
-            self._rendered = rendered
-            self.sweep = sweep
-            self.keynote = keynote
-
-        def render(self) -> str:
-            return self._rendered
-
-    return _Report(text)
-
-
-#: Every experiment the harness can regenerate, keyed by experiment id.
-EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    "fig1": ExperimentSpec("fig1", "SecModule initialization sequence",
-                           reproduce_figure1),
-    "fig2": ExperimentSpec("fig2", "Address space layout", reproduce_figure2),
-    "fig3": ExperimentSpec("fig3", "Stack manipulations", reproduce_figure3),
-    "fig7": ExperimentSpec("fig7", "Test system information", reproduce_figure7),
-    "fig8": ExperimentSpec("fig8", "Performance comparisons", reproduce_figure8,
-                           kind="table"),
-    "abl-policy": ExperimentSpec("abl-policy", "Policy complexity sweep",
-                                 _policy_sweep_report, kind="ablation"),
-    "abl-hardening": ExperimentSpec("abl-hardening", "§4.4 hardening modes",
-                                    run_hardening_ablation, kind="ablation"),
-    "abl-marshalling": ExperimentSpec("abl-marshalling",
-                                      "Shared-VM vs explicit-copy marshalling",
-                                      run_marshalling_ablation, kind="ablation"),
-    "abl-protection": ExperimentSpec("abl-protection", "Text protection modes",
-                                     run_protection_ablation, kind="ablation"),
-    "abl-argsize": ExperimentSpec("abl-argsize", "Argument-size scaling",
-                                  run_argument_size_ablation, kind="ablation"),
-    "abl-machine": ExperimentSpec("abl-machine", "Machine sensitivity",
-                                  run_machine_sensitivity, kind="ablation"),
-    "abl-throughput": ExperimentSpec(
-        "abl-throughput",
-        "Multi-client throughput and the policy-decision cache",
-        run_abl_throughput, kind="ablation"),
-    "abl-batch": ExperimentSpec(
-        "abl-batch",
-        "Batched dispatch: amortizing the two context switches",
-        run_abl_batch, kind="ablation"),
-    "abl-pool": ExperimentSpec(
-        "abl-pool",
-        "Handle pooling: one handle co-process serving many sessions",
-        run_abl_pool, kind="ablation"),
-    "abl-serve": ExperimentSpec(
-        "abl-serve",
-        "Service plane: attach/lookup/pool costs vs live-session count",
-        run_abl_serve, kind="ablation"),
-    "abl-adaptive": ExperimentSpec(
-        "abl-adaptive",
-        "Adaptive batching: AIMD queue depth from the arrival-rate EWMA",
-        run_abl_adaptive, kind="ablation"),
-    "abl-simspeed": ExperimentSpec(
-        "abl-simspeed",
-        "Simulator speed: trace-replay dispatch off vs on (wall clock)",
-        run_abl_simspeed, kind="ablation"),
-    "abl-overload": ExperimentSpec(
-        "abl-overload",
-        "Overload protection: the goodput/tail-latency knee past saturation",
-        run_abl_overload, kind="ablation"),
-}
+from .diff import BenchDiff, BenchDiffError, compare_payloads, load_payload
+from .experiments import EXPERIMENTS, Experiment
+from .report import section
 
 
 @dataclass
 class ExperimentRun:
-    """An executed experiment: the spec, its result object and rendering."""
+    """An executed experiment: its declaration, params, result and rendering."""
 
-    spec: ExperimentSpec
+    experiment: Experiment
+    #: the resolved params the runner was called with (as recorded)
+    params: Dict[str, object]
     result: object
     rendered: str
-    #: host wall-clock seconds the runner took (None when not measured)
+    #: host wall-clock seconds the runner took
     wall_seconds: Optional[float] = None
+
+    def payload(self) -> Dict[str, object]:
+        experiment = self.experiment
+        return experiment_payload(
+            experiment.experiment_id, experiment.title, experiment.kind,
+            self.result, self.rendered, params=self.params,
+            wall_seconds=self.wall_seconds)
 
 
 # ------------------------------------------------------------ JSON export
@@ -210,10 +114,9 @@ def experiment_payload(experiment_id: str, title: str, kind: str,
     """The machine-readable record written to ``BENCH_<id>.json``.
 
     ``params`` records the resolved run parameters (client counts, call
-    counts, ``--fast``, ...) so a cross-commit diff of the files can tell a
+    counts, ``fast``, ...) so a cross-commit diff of the files can tell a
     smoke run from the canonical experiment instead of silently comparing
-    runs of different sizes; the harness's default runs record
-    ``{"defaults": True}``.
+    runs of different sizes.
 
     ``wall_seconds`` is the host wall-clock time the run took; together
     with the result's call count it yields ``calls_per_wall_second`` — the
@@ -233,8 +136,7 @@ def experiment_payload(experiment_id: str, title: str, kind: str,
         "experiment": experiment_id,
         "title": title,
         "kind": kind,
-        "params": to_jsonable(params if params is not None
-                              else {"defaults": True}),
+        "params": to_jsonable(params or {}),
         "data": data,
         "rendered": rendered,
         "wall_seconds": wall_seconds,
@@ -255,42 +157,64 @@ def export_payload(payload: Dict[str, object],
     return path
 
 
-def export_run(run: ExperimentRun, directory: str = ".") -> str:
-    """Export one executed experiment as ``BENCH_<id>.json``."""
-    return export_payload(
-        experiment_payload(run.spec.experiment_id, run.spec.title,
-                           run.spec.kind, run.result, run.rendered,
-                           wall_seconds=run.wall_seconds),
-        directory)
-
-
-def run_experiment(experiment_id: str, *,
+def run_experiment(experiment_id: str,
+                   given: Optional[Mapping[str, object]] = None, *,
+                   fast: bool = False,
                    export_dir: Optional[str] = None) -> ExperimentRun:
-    """Run one experiment by id; ``export_dir`` also writes its JSON record."""
-    spec = EXPERIMENTS[experiment_id]
+    """Run one experiment by id; ``export_dir`` also writes its JSON record.
+
+    ``given`` holds the params set explicitly (or a recorded params dict);
+    the rest come from the runner's defaults, or from the experiment's
+    fast overrides under ``fast``.
+    """
+    experiment = EXPERIMENTS[experiment_id]
+    params = experiment.resolve(given, fast=fast)
     start = time.perf_counter()
-    result = spec.runner()
+    result = experiment.run(params)
     wall_seconds = time.perf_counter() - start
     rendered = result.render() if hasattr(result, "render") else str(result)
-    run = ExperimentRun(spec=spec, result=result, rendered=rendered,
-                        wall_seconds=wall_seconds)
+    run = ExperimentRun(experiment=experiment, params=params, result=result,
+                        rendered=rendered, wall_seconds=wall_seconds)
     if export_dir is not None:
-        export_run(run, export_dir)
+        export_payload(run.payload(), export_dir)
     return run
 
 
-def run_all(experiment_ids: Optional[List[str]] = None, *,
+def run_all(experiment_ids: Optional[List[str]] = None, *, fast: bool = False,
             export_dir: Optional[str] = None) -> List[ExperimentRun]:
-    """Run several (default: all) experiments in DESIGN.md order."""
-    ids = experiment_ids or list(EXPERIMENTS)
-    return [run_experiment(experiment_id, export_dir=export_dir)
-            for experiment_id in ids]
+    """Run several (default: all) experiments in registry order."""
+    return [run_experiment(experiment_id, fast=fast, export_dir=export_dir)
+            for experiment_id in experiment_ids or EXPERIMENTS]
+
+
+def regenerate(path: str, *, canonical: bool = True,
+               rel_tol: float = 0.0) -> Tuple[Dict[str, object], BenchDiff]:
+    """Rerun the baseline at ``path`` from its recorded params and diff it.
+
+    Returns the fresh payload and its diff against the baseline.
+
+    ``canonical`` refuses a baseline whose recorded params are not its
+    experiment's declared defaults, which catches a drifted default.
+    """
+    baseline = load_payload(path)
+    experiment = EXPERIMENTS.get(baseline["experiment"])
+    if experiment is None:
+        raise BenchDiffError(
+            f"{path}: no experiment {baseline['experiment']!r} is declared")
+    params = experiment.resolve(baseline.get("params"))
+    defaults = experiment.resolve()
+    if canonical and to_jsonable(params) != to_jsonable(defaults):
+        raise BenchDiffError(
+            f"{path}: recorded params {baseline.get('params')} differ from "
+            f"the declared defaults {to_jsonable(defaults)}")
+    payload = run_experiment(experiment.experiment_id, params).payload()
+    return payload, compare_payloads(baseline, payload, old_path=path,
+                                     new_path="regenerated", rel_tol=rel_tol)
 
 
 def full_report(runs: List[ExperimentRun]) -> str:
     """Concatenate experiment renderings into one report document."""
-    parts = []
-    for run in runs:
-        parts.append(section(f"[{run.spec.experiment_id}] {run.spec.title}",
-                             run.rendered))
-    return "\n".join(parts)
+    return "\n".join(
+        section(f"[{run.experiment.experiment_id}] {run.experiment.title}",
+                run.rendered)
+        for run in runs)

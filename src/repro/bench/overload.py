@@ -380,8 +380,3 @@ def run_overload_sweep(*, ratios: Sequence[float] = DEFAULT_RATIOS,
                 service_us=service_us, seed=seed))
     report.admission = _measure_admission(admit_calls, seed)
     return report
-
-
-def run_abl_overload() -> OverloadReport:
-    """Harness entry point (the ``abl-overload`` experiment id)."""
-    return run_overload_sweep()

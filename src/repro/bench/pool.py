@@ -320,8 +320,3 @@ def run_pool_sweep(*, seats: Sequence[int] = DEFAULT_SEATS,
     if fairness:
         report.fairness = _measure_fairness(seed=seed)
     return report
-
-
-def run_abl_pool() -> PoolReport:
-    """Harness entry point (the ``abl-pool`` experiment id)."""
-    return run_pool_sweep()

@@ -41,7 +41,7 @@ from ..userland.process import Program
 from .report import render_table
 
 #: Live-session counts the default sweep measures (the acceptance run
-#: extends this to 10^6 via ``repro bench serve --sessions``).
+#: extends this to 10^6 via ``repro abl-serve --sessions``).
 DEFAULT_SESSIONS: Tuple[int, ...] = (1_000, 10_000, 100_000)
 FAST_SESSIONS: Tuple[int, ...] = (500, 2_000)
 #: Tenants the sharded table is split across (>1 exercises the
@@ -312,8 +312,3 @@ def run_serve_sweep(*, sessions: Sequence[int] = DEFAULT_SESSIONS,
             count, tenants=tenants,
             sessions_per_client=sessions_per_client, seed=seed))
     return report
-
-
-def run_abl_serve() -> ServeReport:
-    """Harness entry point (the ``abl-serve`` experiment id)."""
-    return run_serve_sweep()

@@ -307,8 +307,7 @@ def _run_sharded_leg(spec: TrafficSpec, *, workers: int
 def run_simspeed(*, calls: int = DEFAULT_CALLS,
                  clients: int = DEFAULT_CLIENTS, modules: int = 1,
                  seed: int = DEFAULT_SEED, shards: int = DEFAULT_SHARDS,
-                 workers: int = DEFAULT_WORKERS,
-                 fast: bool = False) -> SimspeedReport:
+                 workers: int = DEFAULT_WORKERS) -> SimspeedReport:
     """Measure wall-clock calls/sec across the three execution tiers.
 
     ``calls`` sizes the fast-forward rate leg (split across the clients);
@@ -319,8 +318,8 @@ def run_simspeed(*, calls: int = DEFAULT_CALLS,
     fast-forward legs run at 1 and ``workers`` workers over ``shards``
     client groups; their merged accounting must match each other exactly.
     """
-    if fast:
-        calls = min(calls, FAST_CALLS)
+    if clients < 1:
+        raise ValueError("simspeed needs at least one client")
     if calls < clients:
         raise ValueError("simspeed needs at least one call per client")
     identity_calls = min(calls, IDENTITY_CALLS)
@@ -371,8 +370,3 @@ def run_simspeed(*, calls: int = DEFAULT_CALLS,
             gc.enable()
             gc.collect()
     return report
-
-
-def run_abl_simspeed() -> SimspeedReport:
-    """Harness entry point (the ``abl-simspeed`` experiment id)."""
-    return run_simspeed()

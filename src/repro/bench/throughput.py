@@ -135,15 +135,8 @@ def run_throughput(*, clients: int = DEFAULT_CLIENTS,
                    calls_per_client: int = DEFAULT_CALLS_PER_CLIENT,
                    policy_kind: str = "static",
                    seed: int = 0xB07_7E57,
-                   include_open_loop: bool = True,
-                   fast: bool = False) -> ThroughputReport:
-    """Run the cached/uncached pair (and optionally an open-loop run).
-
-    ``fast`` shrinks the run to a CI smoke: closed-loop only, no open-loop
-    leg, same client count so the multi-session path is still exercised.
-    """
-    if fast:
-        include_open_loop = False
+                   include_open_loop: bool = True) -> ThroughputReport:
+    """Run the cached/uncached pair (and optionally an open-loop run)."""
     spec = TrafficSpec(clients=clients, modules=modules,
                        calls_per_client=calls_per_client,
                        policy_kind=policy_kind, seed=seed)
@@ -161,8 +154,3 @@ def run_throughput(*, clients: int = DEFAULT_CLIENTS,
             use_decision_cache=True))
     return ThroughputReport(spec=spec, cached=cached, uncached=uncached,
                             open_loop=open_loop)
-
-
-def run_abl_throughput() -> ThroughputReport:
-    """Harness entry point (the ``abl-throughput`` experiment id)."""
-    return run_throughput()

@@ -6,14 +6,17 @@ command line::
     repro list                    # show available experiments
     repro fig8                    # the Figure 8 latency table
     repro fig8 --trials 3         # faster, fewer trials
+    repro abl-throughput --clients 32   # any experiment, any declared param
+    repro abl-pool --fast         # CI smoke sizes for params left at defaults
     repro all -o report.txt       # everything, written to a file
+    repro all --fast              # every experiment at its smoke sizes
+    repro bench diff              # rerun the committed baselines and diff
     repro describe                # one-page tour of a live system
-    repro bench throughput --clients 32   # multi-client traffic engine
-    repro bench pool --sessions 64        # handle pooling sweep (abl-pool)
-    repro bench adaptive                  # AIMD batch controller (abl-adaptive)
     repro stats                   # pretty-print metrics (BENCH_*.json or live)
 
-Experiment and bench commands also write a machine-readable
+The experiment commands and their flags are generated from
+``repro.bench.experiments.EXPERIMENTS``: each declared param is a flag named
+after its runner keyword.  Experiment commands also write a machine-readable
 ``BENCH_<experiment id>.json`` into the working directory (suppress with
 ``--no-export``); ``repro stats`` reads those files back.
 """
@@ -23,50 +26,41 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import subprocess
 import sys
-import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .bench.adaptive import DEFAULT_DEPTHS, run_adaptive_bench
-from .bench.batch import DEFAULT_CALLS, DEFAULT_SIZES, run_batch_sweep
 from .bench.diff import BenchDiffError, diff_files
-from .bench.figure8 import reproduce_figure8
-from .bench.harness import (
-    EXPERIMENTS,
-    experiment_payload,
-    export_payload,
-    full_report,
-    run_all,
-    run_experiment,
-)
-from .bench.overload import (
-    DEFAULT_ADMIT_CALLS,
-    DEFAULT_RATIOS as OVERLOAD_RATIOS,
-    FAST_ADMIT_CALLS,
-    FAST_RATIOS as OVERLOAD_FAST_RATIOS,
-    DEFAULT_CALLS as OVERLOAD_CALLS,
-    FAST_CALLS as OVERLOAD_FAST_CALLS,
-    run_overload_sweep,
-)
-from .bench.pool import (
-    DEFAULT_CALLS_PER_SESSION,
-    DEFAULT_SEATS,
-    DEFAULT_SESSIONS,
-    run_pool_sweep,
-)
-from .bench.serve import (
-    DEFAULT_SESSIONS as SERVE_SESSIONS,
-    DEFAULT_SESSIONS_PER_CLIENT,
-    DEFAULT_TENANTS,
-    FAST_SESSIONS,
-    run_serve_sweep,
-)
-from .bench.simspeed import DEFAULT_CALLS as SIMSPEED_CALLS, run_simspeed
-from .bench.throughput import run_throughput
+from .bench.experiments import EXPERIMENTS, Experiment
+from .bench.harness import export_payload, full_report, regenerate, run_all, \
+    run_experiment
 from .secmodule.api import SecModuleSystem
 from .telemetry import render_snapshot
 from .workloads.traffic import TrafficSpec, run_traffic
+
+
+def _flag_text(value: object) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _add_experiment(subparsers, experiment: Experiment) -> None:
+    """``repro <id>``: one flag per declared param, ``--fast`` if declared."""
+    sub = subparsers.add_parser(experiment.experiment_id,
+                                help=experiment.title)
+    for name, default in experiment.defaults().items():
+        sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                         type=experiment.params[name],
+                         default=argparse.SUPPRESS,
+                         help=f"default: {_flag_text(default)}")
+    if experiment.fast:
+        overrides = " ".join(f"{name}={_flag_text(value)}"
+                             for name, value in experiment.fast.items())
+        sub.add_argument("--fast", action="store_true",
+                         help=f"CI smoke: {overrides} (params only where "
+                              f"left at their defaults)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,115 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
                           help="build a SecModule system and describe it")
     all_parser = subparsers.add_parser("all", help="run every experiment")
     all_parser.add_argument("--only", nargs="*", default=None,
+                            choices=list(EXPERIMENTS), metavar="ID",
                             help="restrict to these experiment ids")
-
-    fig8_parser = subparsers.add_parser("fig8", help="the Figure 8 table")
-    fig8_parser.add_argument("--trials", type=int, default=None)
-    fig8_parser.add_argument("--sample-calls", type=int, default=None)
-    fig8_parser.add_argument("--seed", type=int, default=42)
+    all_parser.add_argument("--fast", action="store_true",
+                            help="CI smoke: each experiment's --fast")
+    for experiment in EXPERIMENTS.values():
+        _add_experiment(subparsers, experiment)
 
     bench_parser = subparsers.add_parser(
-        "bench", help="workload benchmarks (beyond the paper's figures)")
+        "bench", help="the regression gate over BENCH_<id>.json exports")
     bench_sub = bench_parser.add_subparsers(dest="bench_command")
-    tp = bench_sub.add_parser(
-        "throughput", help="multi-client traffic engine + decision cache")
-    tp.add_argument("--clients", type=int, default=32,
-                    help="number of concurrent clients")
-    tp.add_argument("--modules", type=int, default=2,
-                    help="number of protected modules")
-    tp.add_argument("--sample-calls", type=int, default=24,
-                    help="calls issued per client")
-    tp.add_argument("--policy", default="static",
-                    choices=["static", "quota", "expiry", "deny-only"],
-                    help="policy chain attached to every module")
-    tp.add_argument("--seed", type=int, default=0xB07_7E57)
-    tp.add_argument("--fast", action="store_true",
-                    help="CI smoke: skip the open-loop leg")
-
-    pp = bench_sub.add_parser(
-        "pool", help="handle pooling: sessions/handle vs process count")
-    pp.add_argument("--seats", default=",".join(map(str, DEFAULT_SEATS)),
-                    help="comma-separated seats-per-handle values to sweep")
-    pp.add_argument("--sessions", type=int, default=DEFAULT_SESSIONS,
-                    help="sessions established per point")
-    pp.add_argument("--calls", type=int, default=DEFAULT_CALLS_PER_SESSION,
-                    help="protected calls per session in the call phase")
-    pp.add_argument("--seed", type=int, default=0x900_1)
-    pp.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer seats and sessions")
-
-    vp = bench_sub.add_parser(
-        "serve", help="service plane: attach/lookup/pool costs vs "
-                      "live-session count (abl-serve)")
-    vp.add_argument("--sessions",
-                    default=",".join(map(str, SERVE_SESSIONS)),
-                    help="comma-separated live-session counts to sweep "
-                         "(reaches 10^6: --sessions 1000000)")
-    vp.add_argument("--tenants", type=int, default=DEFAULT_TENANTS,
-                    help="tenants the sharded session table is split across")
-    vp.add_argument("--sessions-per-client", type=int,
-                    default=DEFAULT_SESSIONS_PER_CLIENT,
-                    help="sessions each surrogate client program holds")
-    vp.add_argument("--seed", type=int, default=0x5E21)
-    vp.add_argument("--fast", action="store_true",
-                    help="CI smoke: two small sweep points")
-
-    bp = bench_sub.add_parser(
-        "batch", help="batched dispatch: latency/call vs queue depth")
-    bp.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)),
-                    help="comma-separated queue depths to sweep")
-    bp.add_argument("--calls", type=int, default=DEFAULT_CALLS,
-                    help="protected calls measured per point")
-    bp.add_argument("--seed", type=int, default=0xBA7C_4)
-    bp.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer sizes and calls")
-
-    ap = bench_sub.add_parser(
-        "adaptive", help="AIMD batch controller vs static queue depths")
-    ap.add_argument("--depths", default=",".join(map(str, DEFAULT_DEPTHS)),
-                    help="comma-separated static depths for the baseline sweep")
-    ap.add_argument("--calls", type=int, default=None,
-                    help="calls in the adaptive steady leg")
-    ap.add_argument("--seed", type=int, default=0xADA_57)
-    ap.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer depths and calls")
-
-    sp = bench_sub.add_parser(
-        "simspeed", help="simulator wall-clock speed: op-by-op vs replay "
-                         "vs fast-forward, serial and sharded")
-    sp.add_argument("--calls", type=int, default=SIMSPEED_CALLS,
-                    help="fast-forward-tier protected calls (10^5 to 10^7; "
-                         "slower tiers are capped)")
-    sp.add_argument("--clients", type=int, default=4)
-    sp.add_argument("--modules", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0x51A_57)
-    sp.add_argument("--shards", type=int, default=2,
-                    help="independent client groups for the sharded legs "
-                         "(1 skips them)")
-    sp.add_argument("--workers", type=int, default=2,
-                    help="worker processes for the parallel sharded leg "
-                         "(merged accounting must match workers=1 exactly)")
-    sp.add_argument("--fast", action="store_true",
-                    help="CI smoke: a few thousand calls per leg")
-
-    op = bench_sub.add_parser(
-        "overload", help="overload protection: goodput/tail-latency knee "
-                         "past saturation, shedding off vs on "
-                         "(abl-overload)")
-    op.add_argument("--ratios",
-                    default=",".join(f"{r:g}" for r in OVERLOAD_RATIOS),
-                    help="comma-separated offered-load ratios "
-                         "(offered rate / pool capacity)")
-    op.add_argument("--calls", type=int, default=OVERLOAD_CALLS,
-                    help="open-loop arrivals offered per (leg, ratio) point")
-    op.add_argument("--admit-calls", type=int, default=DEFAULT_ADMIT_CALLS,
-                    help="bound calls offered in the admission-control leg")
-    op.add_argument("--seed", type=int, default=0x0AD_10)
-    op.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer ratios and calls")
-
     dp = bench_sub.add_parser(
-        "diff", help="regression gate: compare two BENCH_<id>.json exports")
+        "diff", help="regression gate: with no files, rerun every committed "
+                     "baseline from its recorded params and diff it; with "
+                     "OLD NEW, compare two BENCH_<id>.json exports")
     dp.add_argument("old", nargs="?", default=None,
                     help="baseline export (e.g. benchmarks/baselines/"
                          "BENCH_fig8.json)")
@@ -201,12 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative tolerance before a cycle increase fails "
                          "(default 0: byte-exact)")
     dp.add_argument("--update", action="store_true",
-                    help="regenerate every committed baseline under "
-                         "benchmarks/baselines/ from its recorded params "
-                         "and git-add the results (use when a cost change "
+                    help="rewrite the baselines from their regenerated "
+                         "runs and git-add them (use when a cost change "
                          "is intentional)")
     dp.add_argument("--baselines-dir", default="benchmarks/baselines",
-                    help="baseline directory for --update")
+                    help="baseline directory the gate and --update rerun")
 
     an = subparsers.add_parser(
         "analyze", help="simulator-invariant static analysis "
@@ -287,12 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--clients", type=int, default=4)
     st.add_argument("--sample-calls", type=int, default=8)
     st.add_argument("--seed", type=int, default=0xB07_7E57)
-
-    for experiment_id in EXPERIMENTS:
-        if experiment_id == "fig8":
-            continue
-        subparsers.add_parser(experiment_id,
-                              help=EXPERIMENTS[experiment_id].title)
     return parser
 
 
@@ -305,98 +197,36 @@ def _emit(text: str, output: Optional[str]) -> None:
         print(text)
 
 
-#: bench subcommand -> the experiment id its JSON export is filed under
-_BENCH_EXPERIMENT_IDS = {
-    "throughput": "abl-throughput",
-    "batch": "abl-batch",
-    "pool": "abl-pool",
-    "serve": "abl-serve",
-    "adaptive": "abl-adaptive",
-    "simspeed": "abl-simspeed",
-    "overload": "abl-overload",
-}
+def _baseline_gate(args, export_dir: Optional[str]) -> int:
+    """Rerun every committed baseline from its recorded params and diff it.
 
-
-def _export_bench(bench_command: str, report: object, rendered: str,
-                  params: Dict[str, object],
-                  wall_seconds: Optional[float] = None) -> str:
-    """Write a bench subcommand's result as its experiment's BENCH json."""
-    experiment_id = _BENCH_EXPERIMENT_IDS[bench_command]
-    spec = EXPERIMENTS[experiment_id]
-    return export_payload(
-        experiment_payload(experiment_id, spec.title, spec.kind,
-                           report, rendered, params=params,
-                           wall_seconds=wall_seconds))
-
-
-def _update_baselines(baselines_dir: str) -> List[str]:
-    """Regenerate every committed baseline from its recorded params.
-
-    Each ``BENCH_<id>.json`` under ``baselines_dir`` names its experiment
-    and the exact parameters it was generated with, so an intentional
-    cost-model change becomes one command: rerun each with those params,
-    rewrite the file and ``git add`` it for the next commit.
+    Without ``--update`` this is the CI gate: a baseline whose params are
+    not its experiment's declared defaults is refused (exit 2), a cycle
+    regression fails (exit 1), and the fresh exports land in
+    ``export_dir``.  ``--update`` rewrites the baselines instead and
+    ``git add``s them.
     """
-    import subprocess
-
-    paths = sorted(glob.glob(str(Path(baselines_dir) / "BENCH_*.json")))
+    paths = sorted(glob.glob(str(Path(args.baselines_dir) / "BENCH_*.json")))
     if not paths:
-        raise BenchDiffError(f"no BENCH_*.json baselines in {baselines_dir}")
-    staged: List[str] = []
+        raise BenchDiffError(f"no BENCH_*.json baselines in {args.baselines_dir}")
+    reports: List[str] = []
+    ok = True
     for path in paths:
-        with open(path, encoding="utf-8") as stream:
-            payload = json.load(stream)
-        experiment = payload.get("experiment")
-        params = payload.get("params") or {}
-        started = time.perf_counter()
-        if experiment == "fig8":
-            report = reproduce_figure8(trials=params.get("trials"),
-                                       sample_calls=params.get("sample_calls"),
-                                       seed=params.get("seed", 42))
-        elif experiment == "abl-batch":
-            report = run_batch_sweep(sizes=tuple(params["sizes"]),
-                                     calls=params["calls"],
-                                     seed=params["seed"])
-        elif experiment == "abl-serve":
-            report = run_serve_sweep(
-                sessions=tuple(params["sessions"]),
-                tenants=params["tenants"],
-                sessions_per_client=params["sessions_per_client"],
-                seed=params["seed"])
-        elif experiment == "abl-pool":
-            report = run_pool_sweep(
-                seats=tuple(params["seats"]), sessions=params["sessions"],
-                calls_per_session=params["calls_per_session"],
-                seed=params["seed"])
-        elif experiment == "abl-adaptive":
-            report = run_adaptive_bench(**{
-                key: tuple(value) if key == "depths" else value
-                for key, value in params.items() if key != "fast"})
-        elif experiment == "abl-overload":
-            report = run_overload_sweep(
-                ratios=tuple(params["ratios"]),
-                calls=params["calls"],
-                admit_calls=params["admit_calls"],
-                seed=params["seed"])
-        else:
-            raise BenchDiffError(
-                f"{path}: no regenerator for experiment {experiment!r} — "
-                "teach _update_baselines about it before committing a "
-                "baseline for it")
-        wall_seconds = time.perf_counter() - started
-        spec = EXPERIMENTS[experiment]
-        export_payload(
-            experiment_payload(experiment, spec.title, spec.kind, report,
-                               report.render(), params=params,
-                               wall_seconds=wall_seconds),
-            baselines_dir)
-        staged.append(path)
-    result = subprocess.run(["git", "add", "--"] + staged,
-                            capture_output=True, text=True)
-    if result.returncode != 0:
-        print(f"warning: git add failed: {result.stderr.strip()}",
-              file=sys.stderr)
-    return staged
+        payload, diff = regenerate(path, canonical=not args.update,
+                                   rel_tol=args.rel_tol)
+        reports.append(diff.render())
+        ok = ok and diff.ok
+        target = args.baselines_dir if args.update else export_dir
+        if target is not None:
+            export_payload(payload, target)
+    if args.update:
+        result = subprocess.run(["git", "add", "--"] + paths,
+                                capture_output=True, text=True)
+        if result.returncode != 0:
+            print(f"warning: git add failed: {result.stderr.strip()}",
+                  file=sys.stderr)
+    _emit("\n\n".join(reports), args.output)
+    return 0 if ok or args.update else 1
 
 
 def _render_payload_value(key: str, value: object, indent: int,
@@ -622,28 +452,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if command == "all":
-        runs = run_all(args.only, export_dir=export_dir)
+        runs = run_all(args.only, fast=args.fast, export_dir=export_dir)
         _emit(full_report(runs), args.output)
-        return 0
-
-    if command == "fig8":
-        fig8_started = time.perf_counter()
-        table = reproduce_figure8(trials=args.trials,
-                                  sample_calls=args.sample_calls,
-                                  seed=args.seed)
-        wall_seconds = time.perf_counter() - fig8_started
-        rendered = table.render()
-        if export_dir is not None:
-            spec = EXPERIMENTS["fig8"]
-            export_payload(
-                experiment_payload("fig8", spec.title, spec.kind, table,
-                                   rendered,
-                                   params={"trials": args.trials,
-                                           "sample_calls": args.sample_calls,
-                                           "seed": args.seed},
-                                   wall_seconds=wall_seconds),
-                export_dir)
-        _emit(rendered, args.output)
         return 0
 
     if command == "analyze":
@@ -720,128 +530,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if command == "bench":
-        if args.bench_command == "diff":
-            if args.update:
-                try:
-                    staged = _update_baselines(args.baselines_dir)
-                except (BenchDiffError, OSError,
-                        json.JSONDecodeError) as exc:
-                    print(f"bench diff --update error: {exc}",
-                          file=sys.stderr)
-                    return 2
-                _emit("\n".join(f"regenerated and staged {path}"
-                                for path in staged), args.output)
-                return 0
-            if not args.old or not args.new:
-                parser.error("bench diff needs OLD and NEW exports "
-                             "(or --update)")
-            try:
-                diff = diff_files(args.old, args.new, rel_tol=args.rel_tol)
-            except (BenchDiffError, OSError, json.JSONDecodeError) as exc:
-                print(f"bench diff error: {exc}", file=sys.stderr)
-                return 2
-            _emit(diff.render(), args.output)
-            return 0 if diff.ok else 1
-        bench_started = time.perf_counter()
-        if args.bench_command == "throughput":
-            params = {"clients": args.clients, "modules": args.modules,
-                      "calls_per_client": args.sample_calls,
-                      "policy_kind": args.policy, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_throughput(clients=args.clients, modules=args.modules,
-                                    calls_per_client=args.sample_calls,
-                                    policy_kind=args.policy, seed=args.seed,
-                                    fast=args.fast)
-        elif args.bench_command == "batch":
-            sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-            calls = args.calls
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if sizes == DEFAULT_SIZES:
-                    sizes = (1, 4, 16)
-                calls = min(calls, 48)
-            params = {"sizes": sizes, "calls": calls, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_batch_sweep(sizes=sizes, calls=calls, seed=args.seed)
-        elif args.bench_command == "pool":
-            seats = tuple(int(s) for s in args.seats.split(",") if s)
-            sessions = args.sessions
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if seats == DEFAULT_SEATS:
-                    seats = (1, 4, 16)
-                sessions = min(sessions, 16)
-            params = {"seats": seats, "sessions": sessions,
-                      "calls_per_session": args.calls, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_pool_sweep(seats=seats, sessions=sessions,
-                                    calls_per_session=args.calls,
-                                    seed=args.seed)
-        elif args.bench_command == "serve":
-            serve_sessions = tuple(int(s) for s in args.sessions.split(",")
-                                   if s)
-            if args.fast and serve_sessions == SERVE_SESSIONS:
-                # shrink only what the user left at the defaults
-                serve_sessions = FAST_SESSIONS
-            params = {"sessions": serve_sessions, "tenants": args.tenants,
-                      "sessions_per_client": args.sessions_per_client,
-                      "seed": args.seed, "fast": args.fast}
-            report = run_serve_sweep(
-                sessions=serve_sessions, tenants=args.tenants,
-                sessions_per_client=args.sessions_per_client,
-                seed=args.seed)
-        elif args.bench_command == "adaptive":
-            depths = tuple(int(s) for s in args.depths.split(",") if s)
-            kwargs = {"depths": depths, "seed": args.seed}
-            if args.calls is not None:
-                kwargs["adaptive_calls"] = args.calls
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if depths == DEFAULT_DEPTHS:
-                    kwargs["depths"] = (1, 4, 16)
-                kwargs.setdefault("adaptive_calls", 256)
-                kwargs.update(static_calls=96, mmpp_calls=256)
-            params = dict(kwargs, fast=args.fast)
-            report = run_adaptive_bench(**kwargs)
-        elif args.bench_command == "simspeed":
-            params = {"calls": args.calls, "clients": args.clients,
-                      "modules": args.modules, "seed": args.seed,
-                      "shards": args.shards, "workers": args.workers,
-                      "fast": args.fast}
-            report = run_simspeed(calls=args.calls, clients=args.clients,
-                                  modules=args.modules, seed=args.seed,
-                                  shards=args.shards, workers=args.workers,
-                                  fast=args.fast)
-        elif args.bench_command == "overload":
-            ratios = tuple(float(s) for s in args.ratios.split(",") if s)
-            calls = args.calls
-            admit_calls = args.admit_calls
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if ratios == OVERLOAD_RATIOS:
-                    ratios = OVERLOAD_FAST_RATIOS
-                calls = min(calls, OVERLOAD_FAST_CALLS)
-                admit_calls = min(admit_calls, FAST_ADMIT_CALLS)
-            params = {"ratios": ratios, "calls": calls,
-                      "admit_calls": admit_calls, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_overload_sweep(ratios=ratios, calls=calls,
-                                        admit_calls=admit_calls,
-                                        seed=args.seed)
-        else:
-            parser.error("usage: repro bench "
-                         "{throughput,batch,pool,serve,adaptive,simspeed,"
-                         "overload,diff} [options]")
-        wall_seconds = time.perf_counter() - bench_started
-        rendered = report.render()
-        if export_dir is not None:
-            _export_bench(args.bench_command, report, rendered, params,
-                          wall_seconds)
-        _emit(rendered, args.output)
-        return 0
+        if args.bench_command != "diff":
+            parser.error("usage: repro bench diff [OLD NEW] [options]")
+        if (args.old is None) != (args.new is None) or \
+                (args.old is not None and args.update):
+            parser.error("bench diff takes OLD and NEW exports, or neither "
+                         "(rerun the baselines; --update rewrites them)")
+        try:
+            if args.old is None:
+                return _baseline_gate(args, export_dir)
+            diff = diff_files(args.old, args.new, rel_tol=args.rel_tol)
+        except (OSError, ValueError) as exc:
+            print(f"bench diff error: {exc}", file=sys.stderr)
+            return 2
+        _emit(diff.render(), args.output)
+        return 0 if diff.ok else 1
 
     if command in EXPERIMENTS:
-        run = run_experiment(command, export_dir=export_dir)
+        experiment = EXPERIMENTS[command]
+        given = {name: getattr(args, name) for name in experiment.params
+                 if hasattr(args, name)}
+        run = run_experiment(command, given, fast=getattr(args, "fast", False),
+                             export_dir=export_dir)
         _emit(run.rendered, args.output)
         return 0
 

@@ -123,19 +123,6 @@ class TestCompare:
         with pytest.raises(BenchDiffError):
             compare_payloads(make_payload(), smoke)
 
-    def test_harness_defaults_marker_compatible_with_resolved_defaults(self):
-        """`repro <id>` exports record {"defaults": true}; they must remain
-        diffable against a baseline that recorded resolved default params."""
-        harness_run = make_payload()
-        harness_run["params"] = {"defaults": True}
-        diff = compare_payloads(make_payload(), harness_run)
-        assert diff.ok
-        # ... but not against a smoke run
-        smoke = make_payload()
-        smoke["params"] = {"calls": 16, "fast": True}
-        with pytest.raises(BenchDiffError):
-            compare_payloads(smoke, harness_run)
-
     def test_schema_drift_reported(self):
         new = make_payload()
         new["data"]["new_metric"] = 5
@@ -151,8 +138,7 @@ class TestCli:
                                              capsys):
         from repro.cli import main as cli_main
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["bench", "simspeed", "--fast", "--calls",
-                         "800"]) == 0
+        assert cli_main(["abl-simspeed", "--fast", "--calls", "800"]) == 0
         out = capsys.readouterr().out
         assert "byte-identical" in out
         payload = json.loads((tmp_path / "BENCH_abl-simspeed.json")
@@ -180,7 +166,7 @@ class TestCli:
                          str(tmp_path / "missing.json")]) == 2
 
     def test_simspeed_registered_in_harness(self):
-        from repro.bench.harness import EXPERIMENTS
+        from repro.bench.experiments import EXPERIMENTS
         assert "abl-simspeed" in EXPERIMENTS
         assert EXPERIMENTS["abl-simspeed"].kind == "ablation"
 

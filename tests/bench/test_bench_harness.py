@@ -17,7 +17,8 @@ from repro.bench.figures123 import (
     reproduce_figure2,
     reproduce_figure3,
 )
-from repro.bench.harness import EXPERIMENTS, run_experiment
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.harness import run_experiment
 from repro.bench.report import format_ratio, format_us, render_table, section
 from repro.cli import main as cli_main
 from repro.secmodule.dispatch import HardeningMode, MarshallingMode
@@ -236,30 +237,35 @@ class TestHarnessAndCli:
         run = run_experiment("fig7")
         assert "OpenBSD" in run.rendered
 
-    def test_cli_list_and_fig7(self, capsys):
+    def test_cli_list_and_fig7(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig8" in out
         assert cli_main(["fig7"]) == 0
         assert "Pentium III" in capsys.readouterr().out
 
-    def test_cli_fig8_fast(self, capsys):
+    def test_cli_fig8_fast(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert cli_main(["fig8", "--trials", "1", "--sample-calls", "8"]) == 0
         out = capsys.readouterr().out
         assert "RPC(test-incr)" in out
 
-    def test_cli_bench_batch_fast(self, capsys):
-        assert cli_main(["bench", "batch", "--fast"]) == 0
+    def test_cli_bench_batch_fast(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["abl-batch", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "batch size" in out and "monotonically decreasing: yes" in out
 
-    def test_cli_bench_pool_fast(self, capsys):
-        assert cli_main(["bench", "pool", "--fast"]) == 0
+    def test_cli_bench_pool_fast(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["abl-pool", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "sessions/handle" in out
         assert "ceil(sessions/seats) at every point: yes" in out
 
-    def test_cli_output_file(self, tmp_path, capsys):
+    def test_cli_output_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         target = tmp_path / "fig7.txt"
         assert cli_main(["-o", str(target), "fig7"]) == 0
         assert "Pentium III" in target.read_text()

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.harness import (
-    EXPERIMENTS,
     experiment_payload,
     export_payload,
     run_experiment,
@@ -79,7 +79,7 @@ class TestAdaptiveRegistration:
 
     def test_cli_bench_adaptive_fast(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["bench", "adaptive", "--fast"]) == 0
+        assert cli_main(["abl-adaptive", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "adaptive within 20% of best static depth: yes" in out
         assert "depth adapted up then back down across the mmpp cycle: yes" \
