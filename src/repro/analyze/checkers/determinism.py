@@ -6,7 +6,9 @@ randomness flows through :class:`repro.sim.rng.DeterministicRNG` and all
 ``time.time()`` or ``random.random()`` silently breaks that: the run still
 passes its own tests but stops being reproducible.  This checker bans the
 ambient sources at the call site (DET001) and, for the modules whose every
-use is nondeterministic, at the import (DET002).
+use is nondeterministic, at the import (DET002).  The builtin ``hash()`` is
+salted per process for strings and bytes, so a seed or an order derived
+from it changes from run to run (DET003).
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class DeterminismChecker(Checker):
                   "the VirtualClock / DeterministicRNG instead",
         "DET002": "import of an inherently nondeterministic module "
                   "(random, secrets)",
+        "DET003": "call to the builtin hash(), salted per process for "
+                  "str/bytes; derive seeds and orders from stable values",
     }
 
     def check(self, source: SourceFile, ctx) -> Iterable[Finding]:
@@ -59,6 +63,12 @@ class DeterminismChecker(Checker):
                         f"import of nondeterministic module {root!r}; draw "
                         f"from sim.rng.DeterministicRNG")
             elif isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name) and node.func.id == "hash":
+                    yield Finding(
+                        "DET003", source.rel_path, node.lineno,
+                        "builtin hash() varies per process for str/bytes; "
+                        "derive the value from something stable")
+                    continue
                 name = dotted_name(node.func, aliases)
                 if name is None:
                     continue

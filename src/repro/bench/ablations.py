@@ -99,11 +99,12 @@ def run_hardening_ablation(*, trials: int = 3, sample_calls: int = 24,
     result = HardeningResult()
     spec = PAPER_SPECS["smod_testincr"].scaled(trials=trials,
                                                sample_calls=sample_calls)
-    for mode in (HardeningMode.NONE, HardeningMode.SUSPEND_CLIENT,
-                 HardeningMode.UNMAP_CLIENT):
+    for index, mode in enumerate((HardeningMode.NONE,
+                                  HardeningMode.SUSPEND_CLIENT,
+                                  HardeningMode.UNMAP_CLIENT)):
         config = DispatchConfig(hardening=mode)
         summary = run_smod_function("test_incr", args=(41,), spec=spec,
-                                    seed=seed + hash(mode.value) % 97,
+                                    seed=seed + index,
                                     dispatch_config=config)
         result.points.append(HardeningPoint(mode=mode, summary=summary))
     return result

@@ -111,6 +111,8 @@ class Experiment:
     params: Mapping[str, Parser] = field(default_factory=dict)
     #: runner keyword -> its value under ``--fast``
     fast: Mapping[str, object] = field(default_factory=dict)
+    #: param -> the param it may not be less than (cross-param limits)
+    no_less: Mapping[str, str] = field(default_factory=dict)
 
     def defaults(self) -> Dict[str, object]:
         """The declared params at the runner's own defaults."""
@@ -122,8 +124,8 @@ class Experiment:
         """The params to run and record, from user values or a record.
 
         ``given`` may be a recorded params dict (lists for tuples, and its
-        own ``fast`` entry); a name that is not a declared param raises
-        ``ValueError``.
+        own ``fast`` entry); a name that is not a declared param, or
+        params that break a ``no_less`` limit, raise ``ValueError``.
         """
         given = dict(given or {})
         fast = bool(given.pop("fast", fast)) and bool(self.fast)
@@ -136,6 +138,11 @@ class Experiment:
                           if name in self.params)
         params.update((name, tuple(value) if isinstance(value, list) else value)
                       for name, value in given.items())
+        for name, floor in self.no_less.items():
+            if params[name] < params[floor]:
+                raise ValueError(
+                    f"{self.experiment_id}: --{name.replace('_', '-')} "
+                    f"must be at least --{floor.replace('_', '-')}")
         if self.fast:
             params["fast"] = fast
         return params
@@ -213,7 +220,8 @@ EXPERIMENTS: Dict[str, Experiment] = _registry(
                run_simspeed, kind="ablation",
                params={"calls": count, "clients": count, "modules": count,
                        "seed": int, "shards": count, "workers": count},
-               fast={"calls": SIMSPEED_FAST_CALLS}),
+               fast={"calls": SIMSPEED_FAST_CALLS},
+               no_less={"calls": "clients"}),
     Experiment("abl-overload",
                "Overload protection: the goodput/tail-latency knee past "
                "saturation",

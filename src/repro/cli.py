@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .bench.diff import BenchDiffError, diff_files
-from .bench.experiments import EXPERIMENTS, Experiment
+from .bench.experiments import EXPERIMENTS, Experiment, at_least, count
 from .bench.harness import export_payload, full_report, regenerate, run_all, \
     run_experiment
 from .secmodule.api import SecModuleSystem
@@ -44,6 +44,12 @@ def _flag_text(value: object) -> str:
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return str(value)
+
+
+def _existing_file(text: str) -> str:
+    if not Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
 
 
 def _add_experiment(subparsers, experiment: Experiment) -> None:
@@ -129,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "broker health")
     ss.add_argument("--json", action="store_true",
                     help="emit the raw status dict as JSON")
-    ss.add_argument("--clients", type=int, default=6,
+    ss.add_argument("--clients", type=count, default=6,
                     help="demo clients attached through the front-end")
-    ss.add_argument("--tenants", type=int, default=3,
+    ss.add_argument("--tenants", type=count, default=3,
                     help="tenants the demo clients are spread across")
-    ss.add_argument("--calls", type=int, default=24,
+    ss.add_argument("--calls", type=at_least(0), default=24,
                     help="pooled calls driven before the snapshot")
     ss.add_argument("--seed", type=int, default=0x5E21)
 
@@ -151,19 +157,19 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="write the recorded spans as Chrome trace-event "
                        "JSON (load at https://ui.perfetto.dev)")
     for trace_parser in (trr, trp, tre):
-        trace_parser.add_argument("--clients", type=int, default=8)
-        trace_parser.add_argument("--modules", type=int, default=2)
-        trace_parser.add_argument("--sample-calls", type=int, default=64,
+        trace_parser.add_argument("--clients", type=count, default=8)
+        trace_parser.add_argument("--modules", type=count, default=2)
+        trace_parser.add_argument("--sample-calls", type=count, default=64,
                                   help="calls issued per client")
         trace_parser.add_argument("--arrival", default="mmpp",
                                   choices=["closed", "open", "mmpp"])
         trace_parser.add_argument("--direct", action="store_true",
                                   help="trace the direct dispatch path "
                                        "instead of the service plane")
-        trace_parser.add_argument("--sample-every", type=int, default=1,
+        trace_parser.add_argument("--sample-every", type=count, default=1,
                                   help="deterministic head sampling: keep "
                                        "spans for 1 in K clients")
-        trace_parser.add_argument("--capacity", type=int, default=0,
+        trace_parser.add_argument("--capacity", type=at_least(0), default=0,
                                   help="flight-recorder span capacity "
                                        "(0: tracer default)")
         trace_parser.add_argument("--seed", type=int, default=0xB07_7E57)
@@ -175,15 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     st = subparsers.add_parser(
         "stats", help="pretty-print metrics snapshots "
                       "(from BENCH_*.json files, or a live traffic run)")
-    st.add_argument("paths", nargs="*",
+    st.add_argument("paths", nargs="*", type=_existing_file,
                     help="BENCH_*.json files to summarize "
                          "(default: every BENCH_*.json in the working "
                          "directory; a live run when none exist)")
     st.add_argument("--live", action="store_true",
                     help="run a small telemetry-enabled traffic workload "
                          "and print its metrics snapshot")
-    st.add_argument("--clients", type=int, default=4)
-    st.add_argument("--sample-calls", type=int, default=8)
+    st.add_argument("--clients", type=count, default=4)
+    st.add_argument("--sample-calls", type=count, default=8)
     st.add_argument("--seed", type=int, default=0xB07_7E57)
     return parser
 
@@ -550,8 +556,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         experiment = EXPERIMENTS[command]
         given = {name: getattr(args, name) for name in experiment.params
                  if hasattr(args, name)}
-        run = run_experiment(command, given, fast=getattr(args, "fast", False),
-                             export_dir=export_dir)
+        try:
+            params = experiment.resolve(given,
+                                        fast=getattr(args, "fast", False))
+        except ValueError as exc:
+            parser.error(str(exc))
+        run = run_experiment(command, params, export_dir=export_dir)
         _emit(run.rendered, args.output)
         return 0
 

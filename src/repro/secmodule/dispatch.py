@@ -126,6 +126,8 @@ class DispatchConfig:
         # included) on each dict operation, and trace-cache keys embed the
         # config — so every lookup on the hot path pays it.  Configs are
         # immutable: compute once, keep the same equality contract.
+        # smod: allow(DET003)  the config's own __hash__ cache for dict and
+        # set lookups; no value, seed or iteration order derives from it
         object.__setattr__(self, "_cached_hash", hash(
             (self.hardening, self.marshalling, self.per_call_policy_check,
              self.use_decision_cache, self.batch_size, self.use_trace_replay,
@@ -732,7 +734,8 @@ class SmodDispatcher:
         bump a failed replay takes) when the caller must flush and fall back
         to the replay/op-by-op path.
         """
-        if self.kernel.machine.trace.enabled:
+        if self.kernel.machine.trace.enabled or self.tracer.enabled:
+            # both trace planes observe each call on the per-call tiers
             return None
         overload = self.overload
         if overload is not None and overload.admission_active:
@@ -772,16 +775,9 @@ class SmodDispatcher:
         trace_cache = self.trace_cache
         trace_cache.fast_forwards += 1
         trace_cache.fast_forward_calls += n
-        span_us = entry.trace.total_cycles / self.kernel.machine.spec.mhz
         if self.telemetry.enabled:
+            span_us = entry.trace.total_cycles / self.kernel.machine.spec.mhz
             self._observe_span(entry, session, span_us, n)
-        tracer = self.tracer
-        if tracer.enabled:
-            # one synthesized span stands in for the whole window, so a
-            # traced fast-forward run records O(windows) spans, not O(n)
-            tracer.aggregate(SPAN_KINDS[entry.depth > 1], span_us=span_us,
-                             n=n, client_id=session.client.pid,
-                             session_id=session.session_id)
 
     # -------------------------------------------------------------- trace keys
     def flush_config(self, config: DispatchConfig,

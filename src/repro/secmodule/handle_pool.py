@@ -37,7 +37,7 @@ from ..errors import SimulationError
 from ..kernel.proc import Proc, ProcFlag
 from ..sim import costs
 from ..sim.stats import jain_fairness_index
-from ..telemetry import NULL_TELEMETRY, NULL_TRACER, Telemetry, Tracer
+from ..telemetry import NULL_TELEMETRY, NULL_TRACER, Span, Telemetry, Tracer
 from .handle import Handle
 
 #: Policy kinds, in increasing order of sharing.
@@ -164,15 +164,16 @@ class HandleBroker:
         self._module_policies: Dict[str, HandlePolicy] = {}
         #: pool key (sorted m_id tuple) -> shared handles, oldest first
         self._pools: Dict[Tuple[int, ...], List[Handle]] = {}
-        #: free-seat index per pool: a lazy min-heap of ``(fork_seq, pid)``
-        #: for handles that may still have open seats.  The paper-faithful
-        #: seat order is "oldest live non-full handle first" — exactly the
-        #: smallest fork sequence number — so popping the heap reproduces
-        #: the old linear scan without walking the pool (O(n) per attach
-        #: became the bottleneck at served-session scale).  Entries go stale
-        #: when a handle fills or dies; they are discarded lazily on pop and
-        #: re-pushed whenever a detach frees a seat.
-        self._free_seats: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+        #: free-seat index per pool: a lazy min-heap of ``(fork_seq, pid,
+        #: handle)`` for handles that may still have open seats.  The
+        #: paper-faithful seat order is "oldest live non-full handle first"
+        #: — exactly the smallest fork sequence number — so popping the
+        #: heap reproduces the old linear scan without walking the pool
+        #: (O(n) per attach became the bottleneck at served-session scale).
+        #: Entries go stale when a handle fills or dies; they are discarded
+        #: lazily on pop and re-pushed whenever a detach frees a seat.
+        self._free_seats: Dict[Tuple[int, ...],
+                               List[Tuple[int, int, Handle]]] = {}
         #: handle pid -> (pool key, fork seq): O(1) detach and heap re-push
         self._pool_slot: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         #: fork seqs currently represented by a heap entry (dedupe guard:
@@ -347,7 +348,8 @@ class HandleBroker:
         return False
 
     # ------------------------------------------------------ seat-queue shedding
-    def admit_delay(self, session, delay_us: float, count: int = 1) -> bool:
+    def admit_delay(self, session, delay_us: float, count: int = 1,
+                    parent: Optional[Span] = None) -> bool:
         """Seat-queue deadline gate: may a call that already queued
         ``delay_us`` still run?
 
@@ -355,8 +357,9 @@ class HandleBroker:
         deadline configured it always admits (and stays off every charge
         path); past the deadline the call is shed — one charged SERVE_SHED
         per call stands in for building the refusal, the shed is mirrored
-        to telemetry/tracing, and False tells the driver to drop the call
-        instead of burning a full dispatch on work nobody is waiting for.
+        to telemetry and, under ``parent`` (the request it refuses), to
+        tracing, and False tells the driver to drop the call instead of
+        burning a full dispatch on work nobody is waiting for.
         """
         deadline = self.shed_deadline_us
         if deadline <= 0.0 or delay_us <= deadline:
@@ -367,28 +370,32 @@ class HandleBroker:
         if telemetry.enabled:
             telemetry.record_shed(f"handle:{session.handle.proc.pid}",
                                   "seat_deadline", n=count)
-        tracer = self.tracer
-        if tracer.enabled:
-            now_us = tracer.now_us()
-            tracer.interval("broker.shed", now_us - delay_us, now_us,
-                            client_id=session.client.pid,
-                            session_id=session.session_id, count=count)
+        if parent is not None:
+            self._trace_wait("broker.shed", session, delay_us, parent)
         return False
 
     # ------------------------------------------------------ seat-level telemetry
-    def record_queue_delay(self, session, delay_us: float) -> None:
+    def record_queue_delay(self, session, delay_us: float,
+                           parent: Optional[Span] = None) -> None:
         """Fold one call's queueing delay into the (handle, client) seat
-        histogram.  No-op unless a telemetry plane is attached."""
+        histogram, and trace it as a wait under ``parent``, the request it
+        delays.  No-op unless an observation plane is attached."""
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.record_queue_delay(session.handle.proc.pid,
                                          session.client.pid, delay_us)
-        tracer = self.tracer
-        if tracer.enabled:
-            end_us = tracer.now_us()
-            tracer.interval("broker.queue_wait", end_us - delay_us, end_us,
-                            client_id=session.client.pid,
-                            session_id=session.session_id)
+        if parent is not None:
+            self._trace_wait("broker.queue_wait", session, delay_us, parent)
+
+    def _trace_wait(self, kind: str, session, delay_us: float,
+                    parent: Span) -> None:
+        """A wait of ``delay_us`` ending now, as a ``kind`` span under
+        ``parent``.  A wait no request owns is not traced: every span
+        belongs to the request it delays."""
+        end_us = self.tracer.now_us()
+        self.tracer.interval(kind, end_us - delay_us, end_us,
+                             client_id=session.client.pid,
+                             session_id=session.session_id, parent=parent)
 
     def seat_delay_report(self) -> Dict[int, Dict[str, object]]:
         """Per-handle queueing-delay fairness across its seated clients.

@@ -29,13 +29,10 @@ from .tracing import Span
 #: Segment names, in render order.
 SEGMENTS = ("queue", "resolve", "service", "rpc", "switch")
 
-#: Span kinds whose self time counts as queueing delay.
-_QUEUE_KINDS = ("broker.queue_wait", "pool.checkout", "pool.wait")
-
 
 def segment_of(kind: str) -> str:
     """Map a span kind to its critical-path segment."""
-    if kind in _QUEUE_KINDS or kind.endswith(".queue_wait"):
+    if kind == "pool.checkout" or kind.endswith(".queue_wait"):
         return "queue"
     if kind.startswith("serve.resolve") or kind == "serve.health":
         return "resolve"
@@ -67,24 +64,20 @@ def request_breakdown(root: Span,
                       children: Dict[int, List[Span]]) -> Dict[str, float]:
     """One request's per-segment time.  Every span in the tree contributes
     its self time (duration minus direct children) to its kind's segment;
-    a root *with children* charges its own self time to ``switch``
-    (transport / context switching not covered by an inner span), while a
-    childless root — a bare ``broker.queue_wait`` or ``dispatch.call``
-    recorded outside any umbrella span — keeps its own segment.  Segments
-    sum to the root duration up to float rounding."""
+    a ``traffic.request`` root's own self time is ``switch`` (transport /
+    context switching not covered by an inner span).  Segments sum to the
+    root duration up to float rounding."""
     totals = {segment: 0.0 for segment in SEGMENTS}
-    stack = [(root, True)]
+    stack = [root]
     while stack:
-        span, is_root = stack.pop()
+        span = stack.pop()
         kids = children.get(span.span_id, ())
-        self_us = span.duration_us - sum(kid.duration_us for kid in kids)
-        if self_us < 0.0:  # overlapping children (aggregates) — clamp
-            self_us = 0.0
-        segment = ("switch" if is_root and kids
-                   else segment_of(span.kind))
-        totals[segment] += self_us
-        for kid in kids:
-            stack.append((kid, False))
+        # virtual time moves in whole cycles (~0.002us): anything under a
+        # nanosecond is float rounding of the subtraction, not time
+        self_us = max(0.0, round(span.duration_us - sum(
+            kid.duration_us for kid in kids), 9))
+        totals[segment_of(span.kind)] += self_us
+        stack.extend(kids)
     return totals
 
 
@@ -94,32 +87,23 @@ def critical_path_report(spans: Sequence[Span]) -> Dict[str, object]:
     Returns ``{"requests": N, "total_us": {...summary...},
     "segments": {segment: {...summary..., "share": fraction}}}`` where
     each summary is a :meth:`LogHistogram.summary` (count/mean/p50/p95).
-    Aggregate fast-forward spans weigh in with their call count, so a
-    traced fast-forward run reports per-call statistics, not per-window.
+    Every segment records every request, zeros included, so the segment
+    means sum to the request mean; segments no request spent time in are
+    left out.
     """
     roots, children = _tree_index(spans)
     total_hist = LogHistogram()
     segment_hists = {segment: LogHistogram() for segment in SEGMENTS}
-    grand_total = 0.0
-    segment_totals = {segment: 0.0 for segment in SEGMENTS}
     for root in roots:
-        n = root.count if root.count > 1 else 1
-        per_call = root.duration_us / n
-        total_hist.record(per_call, n=n)
-        grand_total += root.duration_us
-        breakdown = request_breakdown(root, children)
-        for segment, segment_us in breakdown.items():
-            if segment_us > 0.0:
-                segment_hists[segment].record(segment_us / n, n=n)
-            segment_totals[segment] += segment_us
+        total_hist.record(root.duration_us)
+        for segment, segment_us in request_breakdown(root, children).items():
+            segment_hists[segment].record(segment_us)
     segments: Dict[str, object] = {}
-    for segment in SEGMENTS:
-        histogram = segment_hists[segment]
-        if histogram.count == 0:
+    for segment, histogram in segment_hists.items():
+        if histogram.total <= 0.0:
             continue
         summary = histogram.summary()
-        summary["share"] = (segment_totals[segment] / grand_total
-                            if grand_total > 0.0 else 0.0)
+        summary["share"] = histogram.total / total_hist.total
         segments[segment] = summary
     return {
         "requests": total_hist.count,
@@ -184,8 +168,6 @@ def chrome_trace(spans: Iterable[Span], *, pid: int = 1,
             args["parent_id"] = span.parent_id
         if span.session_id >= 0:
             args["session"] = span.session_id
-        if span.count != 1:
-            args["count"] = span.count
         if span.unclosed:
             args["unclosed"] = True
         events.append({

@@ -1,10 +1,11 @@
 """Virtual-time causal tracing: span trees over the simulated stack.
 
 The metrics plane (:mod:`repro.telemetry.metrics`) answers *how long*;
-this plane answers *where* and *why*: every protected call becomes an
-attributed span tree (``rpc.attach`` → ``serve.resolve`` →
-``pool.checkout`` → ``dispatch.call`` → ``broker.queue_wait``) with
-start/end stamped in **virtual microseconds**, the same move the Dapper /
+this plane answers *where* and *why*: every flush of protected calls
+becomes one attributed span tree (``traffic.request`` over its
+``broker.queue_wait`` and ``rpc.serve_call`` → ``serve.call`` →
+``serve.resolve``, ``dispatch.call``) with start/end stamped in
+**virtual microseconds**, the same move the Dapper /
 Pivot-Tracing lineage made for production RPC stacks.
 
 Design constraints, in order — the same contract the metrics plane keeps:
@@ -25,15 +26,15 @@ Design constraints, in order — the same contract the metrics plane keeps:
    :class:`~repro.sim.rng.DeterministicRNG` child stream — no ambient
    entropy, so two runs of the same seed sample the same clients and the
    flight recorder's contents are reproducible.
-5. **Fast-forward aware.**  The analytic tier commits N identical calls in
-   one clock charge; :meth:`Tracer.aggregate` mirrors that with one
-   synthesized span carrying ``count=N``, so a traced fast-forward run
-   stays tractable *and* cycle-identical.
+5. **Per-call tiers only.**  Tracing runs on the op-by-op and replay
+   tiers: the dispatcher refuses fast-forward windows while a tracer is
+   enabled, so every span reads the true clock and a traced run's span
+   trees are the same on every tier.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.rng import DeterministicRNG
 
@@ -43,7 +44,11 @@ DEFAULT_CAPACITY = 65536
 #: Dispatch-tier annotations spans carry in :attr:`Span.tier`.
 TIER_OP_BY_OP = "op-by-op"
 TIER_REPLAY = "replay"
-TIER_FAST_FORWARD = "fast-forward"
+
+
+#: The fields of a recorded span, in :meth:`Span.to_dict` order.
+RECORDED_FIELDS = ("span_id", "parent_id", "kind", "start_us", "end_us",
+                   "client_id", "session_id", "tier")
 
 
 class Span:
@@ -52,18 +57,15 @@ class Span:
     ``start_us``/``end_us`` are virtual microseconds (cycles / MHz);
     ``parent_id`` links the causal tree; ``kind`` names the tap point
     (``dispatch.call``, ``pool.checkout``, ...); ``tier`` annotates which
-    dispatch tier served it; ``count`` > 1 marks a synthesized aggregate
-    span standing in for that many identical calls (the fast-forward
-    tier); ``unclosed`` marks a span force-closed at run end.
+    dispatch tier served it; ``unclosed`` marks a span force-closed at run
+    end.
     """
 
-    __slots__ = ("span_id", "parent_id", "kind", "start_us", "end_us",
-                 "client_id", "session_id", "tier", "count", "sampled",
-                 "unclosed")
+    __slots__ = RECORDED_FIELDS + ("sampled", "unclosed")
 
     def __init__(self, span_id: int, parent_id: Optional[int], kind: str,
                  start_us: float, *, client_id: int = -1,
-                 session_id: int = -1, tier: str = "", count: int = 1,
+                 session_id: int = -1, tier: str = "",
                  sampled: bool = True) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -73,7 +75,6 @@ class Span:
         self.client_id = client_id
         self.session_id = session_id
         self.tier = tier
-        self.count = count
         self.sampled = sampled
         self.unclosed = False
 
@@ -82,24 +83,14 @@ class Span:
         return self.end_us - self.start_us
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "kind": self.kind,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "client_id": self.client_id,
-            "session_id": self.session_id,
-            "tier": self.tier,
-            "count": self.count,
-        }
+        out: Dict[str, object] = {name: getattr(self, name)
+                                  for name in RECORDED_FIELDS}
         if self.unclosed:
             out["unclosed"] = True
         return out
 
     def __repr__(self) -> str:
-        extra = f" x{self.count}" if self.count != 1 else ""
-        return (f"Span({self.kind}{extra} [{self.start_us:.3f}, "
+        return (f"Span({self.kind} [{self.start_us:.3f}, "
                 f"{self.end_us:.3f}]us client={self.client_id})")
 
 
@@ -107,11 +98,11 @@ class Tracer:
     """The facade the simulated layers open spans through.
 
     Sites guard every tap with ``if tracer.enabled:`` (the metrics-plane
-    idiom), then call :meth:`start` / :meth:`finish` around live work,
+    idiom), then call :meth:`start` / :meth:`finish` around live work and
     :meth:`interval` for a wait whose bounds are already known (queue
-    delays), and :meth:`aggregate` for a fast-forward window.  Spans nest
-    through an explicit stack — virtual time is single-threaded, so the
-    innermost open span is always the causal parent.
+    delays).  Spans nest through an explicit stack — virtual time is
+    single-threaded, so the innermost open span is the causal parent
+    unless the caller names one (``parent=``).
     """
 
     #: class attribute so the null subclass can flip it without state
@@ -163,29 +154,40 @@ class Tracer:
         return cached
 
     # ------------------------------------------------------------- span taps
+    def _link(self, parent: Optional[Span], client_id: int,
+              session_id: int) -> Tuple[Optional[int], bool, int, int]:
+        """A new span's parent id, head-sampling decision, client and
+        session.  The parent (``parent``, else the innermost open span)
+        lends its decision and fills unset ids; a root decides from its
+        client id."""
+        if parent is None and self._stack:
+            parent = self._stack[-1]
+        if parent is None:
+            return (None, self.client_sampled(client_id), client_id,
+                    session_id)
+        if client_id < 0:
+            client_id = parent.client_id
+        if session_id < 0:
+            session_id = parent.session_id
+        return parent.span_id, parent.sampled, client_id, session_id
+
     def start(self, kind: str, *, client_id: int = -1, session_id: int = -1,
-              tier: str = "") -> Span:
-        """Open a span at the current virtual time and push it on the
-        causal stack.  Children inherit the head-sampling decision of the
-        innermost open span; a root span decides from its client id."""
-        stack = self._stack
-        if stack:
-            parent = stack[-1]
-            parent_id: Optional[int] = parent.span_id
-            sampled = parent.sampled
-            if client_id < 0:
-                client_id = parent.client_id
-            if session_id < 0:
-                session_id = parent.session_id
-        else:
-            parent_id = None
-            sampled = self.client_sampled(client_id)
+              tier: str = "", start_us: Optional[float] = None) -> Span:
+        """Open a span and push it on the causal stack.
+
+        It starts at ``start_us`` when given (a request that arrived
+        before the clock reached it), else at the current virtual time.
+        Children inherit the head-sampling decision of the innermost open
+        span; a root span decides from its client id."""
+        parent_id, sampled, client_id, session_id = self._link(
+            None, client_id, session_id)
         self._span_seq += 1
-        span = Span(self._span_seq, parent_id, kind, self.now_us(),
+        span = Span(self._span_seq, parent_id, kind,
+                    self.now_us() if start_us is None else start_us,
                     client_id=client_id, session_id=session_id, tier=tier,
                     sampled=sampled)
         self.started += 1
-        stack.append(span)
+        self._stack.append(span)
         return span
 
     def finish(self, span: Optional[Span], *,
@@ -217,22 +219,18 @@ class Tracer:
 
     def interval(self, kind: str, start_us: float, end_us: float, *,
                  client_id: int = -1, session_id: int = -1, tier: str = "",
-                 count: int = 1) -> Optional[Span]:
-        """Record a completed span whose bounds are already known — queue
-        waits measured by the layer itself, or synthesized aggregates.
-        Attached under the innermost open span, if any."""
-        stack = self._stack
-        if stack:
-            parent = stack[-1]
-            parent_id: Optional[int] = parent.span_id
-            sampled = parent.sampled
-            if client_id < 0:
-                client_id = parent.client_id
-            if session_id < 0:
-                session_id = parent.session_id
-        else:
-            parent_id = None
-            sampled = self.client_sampled(client_id)
+                 parent: Optional[Span] = None) -> Optional[Span]:
+        """Record a completed span whose bounds are already known — a
+        queue wait measured by the layer itself.  Attached under
+        ``parent`` (the request it delays), else under the innermost open
+        span, if any.  A ``parent`` never starts after its wait: a wait
+        read off the cycle-rounded clock may begin a fraction of a cycle
+        before the arrival time its request was opened at, and the
+        request's start moves back to cover it."""
+        if parent is not None and start_us < parent.start_us:
+            parent.start_us = start_us
+        parent_id, sampled, client_id, session_id = self._link(
+            parent, client_id, session_id)
         self._span_seq += 1
         self.started += 1
         self.finished += 1
@@ -241,22 +239,10 @@ class Tracer:
             return None
         span = Span(self._span_seq, parent_id, kind, start_us,
                     client_id=client_id, session_id=session_id, tier=tier,
-                    count=count, sampled=True)
+                    sampled=True)
         span.end_us = end_us
         self._record(span)
         return span
-
-    def aggregate(self, kind: str, *, span_us: float, n: int,
-                  client_id: int = -1, session_id: int = -1,
-                  tier: str = TIER_FAST_FORWARD) -> Optional[Span]:
-        """Synthesize one span standing in for ``n`` identical calls of
-        ``span_us`` each — the fast-forward window mirror.  The span ends
-        at the current virtual time and covers the whole window, so a
-        traced 10^7-call run records O(windows) spans, not O(calls)."""
-        end_us = self.now_us()
-        return self.interval(kind, end_us - span_us * n, end_us,
-                             client_id=client_id, session_id=session_id,
-                             tier=tier, count=n)
 
     # --------------------------------------------------------- flight recorder
     def _record(self, span: Span) -> None:
@@ -334,21 +320,13 @@ class NullTracer(Tracer):
         return False
 
     def start(self, kind: str, *, client_id: int = -1, session_id: int = -1,
-              tier: str = "") -> Optional[Span]:  # type: ignore[override]
+              tier: str = "", start_us: Optional[float] = None
+              ) -> Optional[Span]:  # type: ignore[override]
         return None
-
-    def finish(self, span: Optional[Span], *,
-               tier: Optional[str] = None) -> None:
-        pass
 
     def interval(self, kind: str, start_us: float, end_us: float, *,
                  client_id: int = -1, session_id: int = -1, tier: str = "",
-                 count: int = 1) -> Optional[Span]:
-        return None
-
-    def aggregate(self, kind: str, *, span_us: float, n: int,
-                  client_id: int = -1, session_id: int = -1,
-                  tier: str = TIER_FAST_FORWARD) -> Optional[Span]:
+                 parent: Optional[Span] = None) -> Optional[Span]:
         return None
 
     def spans(self) -> List[Span]:

@@ -55,6 +55,9 @@ the open loop (one pass over the pre-drawn ``(times, indices)`` of
 * ``_one_service_call(state, *, scheduled_at=None)`` — one call across the
   service plane's RPC surface.
 
+A traced run wraps the sink (``_traced``) so that each flush gets one
+request span, the root of its span tree, and never fast-forwards.
+
 ``_one_flush`` and ``_one_service_call`` share one arrival prologue
 (``_arrive``: module pick, open-loop clock advance, queueing delay, shed
 gate and queue-delay taps).  The repository benchmark's audit hooks
@@ -102,6 +105,7 @@ from ..sim.stats import mean, percentile
 from ..telemetry import (
     NULL_TELEMETRY,
     NULL_TRACER,
+    Span,
     Telemetry,
     Tracer,
     make_telemetry,
@@ -183,12 +187,13 @@ class TrafficSpec:
     #: in-process :class:`TrafficEngine` ignores this knob (it always runs
     #: the clients it was given).
     shards: int = 1
-    #: attach the span tracer (causal span trees with virtual-microsecond
-    #: timestamps: dispatch/broker/service-plane/RPC tap points, ring-buffer
-    #: flight recorder, per-request critical-path segments).  Pure
-    #: observation like telemetry: span timestamps read the clock and never
-    #: charge it, so traced cycle totals are byte-identical to untraced
-    #: ones (asserted differentially by the non-perturbation tests)
+    #: attach the span tracer (one causal span tree per flush with
+    #: virtual-microsecond timestamps: dispatch/broker/service-plane/RPC tap
+    #: points, ring-buffer flight recorder, per-request critical-path
+    #: segments).  Pure observation like telemetry: span timestamps read
+    #: the clock and never charge it, so traced cycle totals are
+    #: byte-identical to untraced ones (asserted differentially by the
+    #: non-perturbation tests).  A traced run takes the per-call tiers.
     tracing: bool = False
     #: deterministic head sampling: keep spans for 1 in every K clients,
     #: decided per client id from a seeded child stream (1 = trace all)
@@ -553,7 +558,9 @@ class TrafficEngine:
                             and not spec.via_service
                             # shed decisions are per call; the closed-form
                             # fast-forward tier would skip them
-                            and spec.shed_deadline_us == 0.0)
+                            and spec.shed_deadline_us == 0.0
+                            # spans read the true clock, call by call
+                            and not spec.tracing)
         # ---- service plane --------------------------------------------------
         #: the front-end (built lazily with the run) when via_service is on
         self.frontend = None
@@ -583,6 +590,9 @@ class TrafficEngine:
         # record_queue_delay feeds both observation planes; hoist the
         # either-enabled check out of the per-call loops
         self._observe_queue = self.telemetry.enabled or self.tracer.enabled
+        #: the open request span of a traced run's current flush (see
+        #: `_traced`): the parent of its queue-wait and shed spans
+        self._request: Optional[Span] = None
         # broker seat-queue deadline shedding (default off: the gate stays
         # entirely out of the unprotected per-call paths)
         self._broker_shed = spec.shed_deadline_us > 0.0
@@ -784,7 +794,7 @@ class TrafficEngine:
             now_us = (self._clock.cycles + pending) / self._profile_mhz
         delay = now_us - scheduled_at if now_us > scheduled_at else 0.0
         if self._broker_shed and not self._broker.admit_delay(
-                state.sessions[registered.m_id], delay, count):
+                state.sessions[registered.m_id], delay, count, self._request):
             return None
         if self._observe_queue or count != 1:
             self._record_delays(state, registered, [delay] * count)
@@ -804,8 +814,12 @@ class TrafficEngine:
         state.queue_delays_us.extend(delays)
         if self._observe_queue:
             session = state.sessions[registered.m_id]
+            # the flush's calls wait together: its first (and longest)
+            # wait is the one traced under the request
+            parent = self._request
             for delay in delays:
-                self._broker.record_queue_delay(session, delay)
+                self._broker.record_queue_delay(session, delay, parent)
+                parent = None
 
     def _one_flush(self, state: ClientState, count: int, *,
                    scheduled_at: Optional[float] = None) -> None:
@@ -953,8 +967,35 @@ class TrafficEngine:
         if result < 0:
             state.calls_denied += 1
 
-    def _aimd_sink(self):
-        """The AIMD sink: ``(arrive, drain)`` for the open-loop driver.
+    def _traced(self, flush):
+        """``flush`` with one request span around each of its calls.
+
+        The span opens at the flush's arrival (the scheduled time of an
+        open arrival, the first held arrival of an AIMD flush, else now)
+        and parents everything the flush does: its queue wait or shed, and
+        the RPC, serve and dispatch spans of the calls it makes.
+        """
+        tracer = self.tracer
+
+        def traced(state: ClientState, count: int,
+                   scheduled_at: Optional[float] = None) -> None:
+            arrived_us = scheduled_at
+            if arrived_us is None and state.held_us:
+                arrived_us = state.held_us[0]
+            self._request = tracer.start(
+                "traffic.request", client_id=state.program.proc.pid,
+                start_us=arrived_us)
+            try:
+                flush(state, count, scheduled_at=scheduled_at)
+            finally:
+                tracer.finish(self._request)
+                self._request = None
+
+        return traced
+
+    def _aimd_sink(self, one_flush):
+        """The AIMD sink: ``(arrive, drain)`` for the open-loop driver,
+        flushing through ``one_flush``.
 
         Each client holds its arrivals in a queue that flushes when it
         reaches the controller's current depth.  Lull detection is
@@ -1000,7 +1041,7 @@ class TrafficEngine:
         def flush(state: ClientState) -> None:
             count = len(state.held_us)
             if count:
-                self._one_flush(state, count)
+                one_flush(state, count)
                 controllers[state.index].on_flush(count, self._now_us())
 
         def arrive(state: ClientState, count: int, *,
@@ -1105,15 +1146,18 @@ class TrafficEngine:
         left = {index: arrivals for index in by_id}
         uneven = last != batch
         drain = None
-        if spec.adaptive_batch:
-            sink, drain = self._aimd_sink()
-        elif spec.via_service:
+        if spec.via_service:
             one_service_call = self._one_service_call
 
             def sink(state, count, scheduled_at=None):
                 one_service_call(state, scheduled_at=scheduled_at)
         else:
             sink = self._one_flush
+        if self.tracer.enabled:
+            sink = self._traced(sink)
+        if spec.adaptive_batch:
+            # the flush sink becomes the AIMD controller's flush
+            sink, drain = self._aimd_sink(sink)
 
         if spec.arrival == "closed":
             # the next arrival is drawn after each completion

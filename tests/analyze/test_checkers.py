@@ -34,6 +34,11 @@ class TestDeterminism:
                 and f.path.endswith("det_bad.py")]
         assert len(det1) == 3  # time.time, perf_counter, random.random
 
+    def test_builtin_hash(self, report):
+        det3 = [f for f in report.findings if f.rule == "DET003"]
+        assert [(f.path.rsplit("/", 1)[-1], f.line) for f in det3] == \
+            [("det_hash_bad.py", 5)]
+
 
 class TestCost:
     def test_bad_fixture(self, report):

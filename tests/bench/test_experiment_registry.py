@@ -61,6 +61,14 @@ class TestValidationAtTheEdge:
         "abl-adaptive --depths 0",
         "abl-overload --calls 0",
         "all --only fig7 nope",
+        "abl-simspeed --calls 2 --clients 4",
+        "trace run --clients 0",
+        "trace run --sample-calls 0",
+        "trace report --sample-every 0",
+        "stats --live --clients 0",
+        "stats nope.json",
+        "serve status --calls -3",
+        "serve status --clients 0",
     ])
     def test_bad_value_is_a_usage_error_before_anything_runs(
             self, argv, tmp_path, monkeypatch, capsys):

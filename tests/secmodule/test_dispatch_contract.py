@@ -15,6 +15,16 @@ path that keeps these digests keeps:
 * the telemetry snapshot and export, the tracer's spans and the trace
   cache counters of traffic runs at depth 1 and depth 4 on the default
   tiers and on the op-by-op tier, and of direct calls on every tier.
+
+The observation digests were retaken when traced runs moved to the
+per-call tiers with one request span tree per flush: spans lost their
+``count`` field and gained their request roots, and a traced run on the
+default tiers now observes exactly what the replay tier does.  Every
+non-span part of them (telemetry snapshot and export, trace-cache
+counters, cycles) was checked equal to the earlier pins' runs: the
+op-by-op and replay cases unchanged, the default cases equal to the
+earlier replay case, the direct ``ff`` case unchanged with its tracer
+off.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from repro.secmodule.dispatch import (
     MarshallingMode,
 )
 from repro.secmodule.policy import FunctionDenyPolicy
+from repro.telemetry import NULL_TRACER
 from repro.workloads.traffic import TrafficEngine, TrafficSpec
 
 OP_BY_OP = DispatchConfig(use_trace_replay=False, use_fast_forward=False)
@@ -290,8 +301,8 @@ def test_batch_totals_are_pinned(config_name, case):
 
 # ------------------------------------------------------------ observation
 def _spans(tracer):
-    return [(span.kind, span.parent_id, span.tier, span.count,
-             span.start_us, span.end_us) for span in tracer.spans()]
+    return [(span.kind, span.parent_id, span.tier, span.start_us,
+             span.end_us) for span in tracer.spans()]
 
 
 DRIVER_SHAPES = {
@@ -314,59 +325,59 @@ TIERS = {"default": None, "replay": DispatchConfig(use_fast_forward=False),
 
 OBSERVATION_DIGESTS = {
     'closed-d1/default':
-        '4a41feeb03b5fea378616ad4f203289e41c9f8614c11c22916be309218633da4',
+        'd64790915aa8b846a7988d169df1d91510dd671c2924713c3d46cda22142fa54',
     'closed-d1/op':
-        'bc69b1afacc678d2413ad2f3bdf6d5751657ad2dc47eed1fb660292658f8d00c',
+        '7361595185437ee7e54dc218f938a54ccf6b4e16900b661bb42d5668040b9b59',
     'closed-d1/replay':
-        'fe6373b8a5423a4b1bad90b26f5982b6695cdf16ef652f2240ab257b59b3c7b0',
+        'd64790915aa8b846a7988d169df1d91510dd671c2924713c3d46cda22142fa54',
     'closed-d4-repeat/default':
-        '46c60cda084f35dfdba322e84ffa0a3d5f92f7a82607af624f34b80f7f8464b3',
+        'a4f43f779950d7d4fae580c4d882616c3f0234b3e4f7dd046b253327e00810fa',
     'closed-d4-repeat/op':
-        'f54cad397fe4584a4da3461dac1724da2c2a4f61908c9dc2213e66787e20a4b0',
+        '7d9288083968e919dfff3ac8e91365122e63d7372547545c3e82d2511035a43e',
     'closed-d4-repeat/replay':
-        'f96fa10ad842dac632f65b940de3d6017ceb34456cab5dd8735105f805727ac0',
+        'a4f43f779950d7d4fae580c4d882616c3f0234b3e4f7dd046b253327e00810fa',
     'closed-d4/default':
-        '2ab2b88950f1e6249965e99f635059e37f82a0a710b3fafabd0a9906ba48e7ba',
+        '0422caf360ae0e11916331997bee02b29b2e9c6c06a2d0fb2f51c265dd649ab8',
     'closed-d4/op':
-        '0eed9c1de744be6ced080ed67c7928eedf5b93d7e0976fe166cc10152373be6a',
+        'df646f2cff5589b3c11a6d9a26411c13e87408b5b55709b4499f512d14c1bfda',
     'closed-d4/replay':
-        '6eb55ef70aeafba1257083fec2047c03d90391d1ae06a110501444673499de99',
+        '0422caf360ae0e11916331997bee02b29b2e9c6c06a2d0fb2f51c265dd649ab8',
     'direct/default':
-        '6c7be56737814bb7676613a186f0a7ddd9682d378561e15cf50ef7747f00554f',
+        'cb2b4eb053f1d3885f5184d941cc64347ad63daea0413ffdeac05b0ab10d6722',
     'direct/ff':
-        '0c471316fdccc3607a28b27ce56aeb3b3d5e4c1c58718527dd4c24a83695077e',
+        'efd77811914f5a7f3245b62dc4d779c0ca62eeafaefc1a6c0943621d5510c3aa',
     'direct/op':
-        'da3aa230ec31b7649b5da9ded980bb54e30cd53b433c8f248490e2c5f8a6062f',
+        '2de79340465438a93664aed48c71dce8595abfe45b1c0acd39f41e8b6a80e7e2',
     'mmpp-d1/default':
-        'abe90c4abac38cb4317d8654c230b83974a2c0e2df41e1527decf56959dcf137',
+        '569721330f9eadbd946a4aa359ea92a7b40087f6936930a05661912e4bc728a7',
     'mmpp-d1/op':
-        'a04b52e5b3eca7c7a2cd79e0c07658cfe34e8d0f723ff238d275f0ae71ad1e30',
+        '5fecd2707e3e0434d43730c9944610005e4cb5f64c4fef0a2dbeeaefa74b131f',
     'mmpp-d1/replay':
-        '284d801a7f1adc7264c40245348d7f3bb3b9d6e182ea69810b41b46db1e9d0d4',
+        '569721330f9eadbd946a4aa359ea92a7b40087f6936930a05661912e4bc728a7',
     'mmpp-d4/default':
-        'ea26a05cb8a7e293ed2f77224631d83bdc6705ec7279eb80a83950cf4243d984',
+        'f0bfc3e6bcbb077f77f8879bd64c38a2bb626965cf99ca9ea6cf97614f702f7a',
     'mmpp-d4/op':
-        'a2f5d2a0f55603dd943b62040b8ac52aedb2af538cca8bb15c78f38776b9428c',
+        '960d9c21a001014610bdc05bdfb3f3e7a29ae6581c8e1b17f6fe7e66aeb7abb5',
     'mmpp-d4/replay':
-        '5cc5819c934fadec93aeafc1887ce0de87a3028777373c5f9ac65379c9010f2b',
+        'f0bfc3e6bcbb077f77f8879bd64c38a2bb626965cf99ca9ea6cf97614f702f7a',
     'open-d1/default':
-        '3f7ca3c923127f4e6137ad750b90c3a6b67912948313df1511052e102fce3096',
+        '88ca08cf7bdf37e36da9a4fa1d268b8f0889f9d0ce03731de464a241c858fffa',
     'open-d1/op':
-        'd825c75e97f2dae545cdacdae5c5f13395322ff4984ef015e05a74d68d57e831',
+        '545a9eb5b2f218b732a64e4bedf7b83283b45cafa89d754e521441a5b0f98a0f',
     'open-d1/replay':
-        '18d4844d314f3f393e2feaa0ce526127f4a80617f242d6630412ca1c969e9a04',
+        '88ca08cf7bdf37e36da9a4fa1d268b8f0889f9d0ce03731de464a241c858fffa',
     'open-d4-repeat/default':
-        '75770c4f68e037beadbd78c26198c844f7b2d889a5655341d5a00b4fd30356e1',
+        '5daf88f7763e52411c985ac0b0dcd2edacb13004bebaba99047b3b06624761e8',
     'open-d4-repeat/op':
-        'c0944bd523b8cb22fc405be2108d2eeb81cb64389ff8505675fba9fb88db5929',
+        '109620c19717c9a00758771390573a6f24b8aa234da14bc5686c78adef855f82',
     'open-d4-repeat/replay':
-        'ad7ca5e5014c8e8d12ab574691677556c418b2e0479562c1258b391bd9a3d36a',
+        '5daf88f7763e52411c985ac0b0dcd2edacb13004bebaba99047b3b06624761e8',
     'open-d4/default':
-        '147d5847a83c8b99297fbf79fdde7880284b515285e569f3fb91502634c8ddb0',
+        '32854ed6eabcd14f85c0be6448209e5ba783156db0e090196fe19b14f9f38ff2',
     'open-d4/op':
-        '1adbd14ae293608f0ddc56a9fe8019e88a784d5c7f26133efd6a0075af63f469',
+        '87b6e7ee2a471cf8e2658d68107d86c2ef33210692c2528289afbfd4dcf57fb7',
     'open-d4/replay':
-        '83ce7391e155147d7fcdb98a64d1c9fe4926940df1481ac319862d3d87e953b1',
+        '32854ed6eabcd14f85c0be6448209e5ba783156db0e090196fe19b14f9f38ff2',
 }
 
 
@@ -395,7 +406,9 @@ def direct_observation(tier: str) -> str:
     system = make_system()
     extension = system.extension
     telemetry = extension.enable_telemetry()
-    tracer = extension.enable_tracing()
+    # fast-forward refuses its windows while a span tracer is on, so the
+    # ff case observes its commits through telemetry alone
+    tracer = extension.enable_tracing() if tier != "ff" else NULL_TRACER
     config = OP_BY_OP if tier == "op" else DispatchConfig()
     dispatcher = extension.dispatcher
     session = system.session

@@ -16,7 +16,6 @@ from repro.telemetry.tracing import (
     NULL_TRACER,
     NullTracer,
     Span,
-    TIER_FAST_FORWARD,
     TIER_REPLAY,
     Tracer,
     make_tracer,
@@ -69,10 +68,30 @@ class TestSpanLifecycle:
         cycles, events = clock.cycles, clock.events
         span = tracer.start("dispatch.call")
         tracer.interval("broker.queue_wait", 1.0, 2.0)
-        tracer.aggregate("dispatch.call", span_us=1.0, n=10)
         tracer.finish(span)
         tracer.now_us()
         assert (clock.cycles, clock.events) == (cycles, events)
+
+    def test_start_at_an_earlier_arrival(self):
+        clock, tracer = make()
+        clock.advance(50)
+        request = tracer.start("traffic.request", client_id=2, start_us=20.0)
+        clock.advance(5)
+        tracer.finish(request)
+        assert (request.start_us, request.end_us) == (20.0, 55.0)
+
+    def test_interval_attaches_under_the_named_parent(self):
+        clock, tracer = make()
+        request = tracer.start("traffic.request", client_id=6, session_id=3,
+                               start_us=0.5)
+        inner = tracer.start("dispatch.call")
+        wait = tracer.interval("broker.queue_wait", 0.0, 1.0, parent=request)
+        assert wait.parent_id == request.span_id      # not the stack top
+        assert (wait.client_id, wait.session_id) == (6, 3)
+        assert request.start_us == 0.0               # covers its wait
+        tracer.finish(inner)
+        tracer.finish(request)
+        assert tracer.open_spans() == []
 
     def test_out_of_order_finish_is_tolerated(self):
         clock, tracer = make()
@@ -117,16 +136,6 @@ class TestFlightRecorder:
         assert {span.span_id for span in tracer.spans()} == \
             {outer.span_id, inner.span_id}
         assert tracer.drain() == 0
-
-    def test_aggregate_covers_the_window(self):
-        clock, tracer = make()
-        clock.advance(100)
-        span = tracer.aggregate("dispatch.call", span_us=5.0, n=10,
-                                client_id=2)
-        assert span.start_us == 50.0
-        assert span.end_us == 100.0
-        assert span.count == 10
-        assert span.tier == TIER_FAST_FORWARD
 
     def test_constructor_validation(self):
         clock = VirtualClock()
@@ -183,7 +192,6 @@ class TestNullTracer:
         assert tracer.start("dispatch.call") is None
         tracer.finish(None)
         assert tracer.interval("broker.queue_wait", 0.0, 1.0) is None
-        assert tracer.aggregate("dispatch.call", span_us=1.0, n=5) is None
         assert tracer.spans() == []
         assert tracer.open_spans() == []
         assert tracer.drain() == 0
@@ -201,8 +209,6 @@ class TestNullTracer:
                     tracer.finish(span)
                 if tracer.enabled:
                     tracer.interval("broker.queue_wait", 0.0, 1.0)
-                if tracer.enabled:
-                    tracer.aggregate("dispatch.call", span_us=1.0, n=8)
 
         spin(1000)                  # warm any lazily-built interpreter state
         gc.collect()
@@ -214,8 +220,8 @@ class TestNullTracer:
         assert after - before <= 8
 
 
-def _span(span_id, parent_id, kind, start, end, count=1):
-    span = Span(span_id, parent_id, kind, start, count=count)
+def _span(span_id, parent_id, kind, start, end):
+    span = Span(span_id, parent_id, kind, start)
     span.end_us = end
     return span
 
@@ -233,7 +239,7 @@ class TestCriticalPath:
 
     def test_self_time_attribution_sums_to_root(self):
         spans = [
-            _span(1, None, "rpc.serve_call", 0.0, 100.0),
+            _span(1, None, "traffic.request", 0.0, 100.0),
             _span(2, 1, "serve.resolve", 10.0, 20.0),
             _span(3, 1, "dispatch.call", 30.0, 90.0),
         ]
@@ -253,11 +259,23 @@ class TestCriticalPath:
         assert list(report["segments"]) == ["queue"]
         assert report["segments"]["queue"]["share"] == pytest.approx(1.0)
 
-    def test_aggregate_roots_weigh_per_call(self):
-        report = critical_path_report(
-            [_span(1, None, "dispatch.call", 0.0, 40.0, count=4)])
-        assert report["requests"] == 4
-        assert report["total_us"]["mean"] == pytest.approx(10.0)
+    def test_segment_means_sum_to_the_request_mean(self):
+        # a queued request and one that never waited: every segment's
+        # mean is over both requests, zeros included
+        spans = [
+            _span(1, None, "traffic.request", 0.0, 30.0),
+            _span(2, 1, "broker.queue_wait", 0.0, 20.0),
+            _span(3, 1, "dispatch.call", 20.0, 30.0),
+            _span(4, None, "traffic.request", 40.0, 50.0),
+            _span(5, 4, "dispatch.call", 40.0, 50.0),
+        ]
+        report = critical_path_report(spans)
+        assert report["requests"] == report["roots"] == 2
+        segments = report["segments"]
+        assert segments["queue"]["mean"] == pytest.approx(10.0)
+        assert segments["service"]["mean"] == pytest.approx(10.0)
+        assert report["total_us"]["mean"] == pytest.approx(20.0)
+        assert "switch" not in segments      # the tree covers each request
 
     def test_orphaned_child_is_treated_as_root(self):
         # parent evicted from the ring: the child still reports
